@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gates, masker, verify
 from .masker import BoundViolationError
-from .tensorcore import StateVector, partial_trace
+from .tensorcore import INPUT_NORM_TOL, StateVector, complex_pairs, distance_to_maximally_mixed, partial_trace
 
 EXIT_OK = 0
 EXIT_MASKING_FAILURE = 2
@@ -24,7 +24,6 @@ EXIT_BOUND_VIOLATION = 3
 EXIT_USAGE = 64
 
 OUTPUT_DIR_ENV = "QUDITMASK_OUTPUT_DIR"
-INPUT_NORM_TOL = 1e-9
 
 
 class UsageError(Exception):
@@ -35,21 +34,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; the contract reserves 2 for masking failures.
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _float_json(x: float) -> float:
-    # 17 significant digits round-trips doubles exactly.
-    return float(f"{x:.17g}")
-
-
-def _clean(obj):
-    if isinstance(obj, float):
-        return _float_json(obj)
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    return obj
 
 
 def _emit(payload: str, output: str | None):
@@ -65,7 +49,8 @@ def _emit(payload: str, output: str | None):
 
 
 def _dump_json(doc: dict) -> str:
-    return json.dumps(_clean(doc), indent=2) + "\n"
+    # json writes each float's repr, which round-trips doubles exactly.
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _read_amplitudes(args, w: int) -> StateVector:
@@ -91,6 +76,8 @@ def _read_amplitudes(args, w: int) -> StateVector:
     if len(values) != w:
         raise UsageError(f"expected {w} amplitudes, got {len(values)}")
     amps = np.array(values, dtype=complex)
+    if not np.all(np.isfinite(amps)):
+        raise UsageError("input amplitudes must be finite")
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > INPUT_NORM_TOL:
         if args.renormalize:
@@ -119,23 +106,20 @@ def _cmd_mask(args) -> int:
     scheme = masker.build_scheme(args.w, args.d, args.m)
     state = _read_amplitudes(args, args.w)
     masked = masker.mask(scheme, state)
-    marginals = [partial_trace(masked, [p]).mat for p in range(scheme.m)]
-    doc = {
-        "w": scheme.w,
-        "d": scheme.d,
-        "m": scheme.m,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in masked.amps],
-        "marginals": [
-            [[[float(x.real), float(x.imag)] for x in row] for row in rho] for rho in marginals
-        ],
-    }
+    marginals = [partial_trace(masked, [p]) for p in range(scheme.m)]
     if args.format == "json":
+        doc = {
+            "w": scheme.w,
+            "d": scheme.d,
+            "m": scheme.m,
+            "amplitudes": complex_pairs(masked.amps),
+            "marginals": [complex_pairs(rho.mat) for rho in marginals],
+        }
         payload = _dump_json(doc)
     else:
         lines = [f"masked state on {scheme.m} parties of dimension {scheme.d}"]
         for p, rho in enumerate(marginals):
-            dev = float(np.max(np.abs(rho - np.eye(scheme.d) / scheme.d)))
-            lines.append(f"party {p}: max deviation from I/d = {dev:.3e}")
+            lines.append(f"party {p}: max deviation from I/d = {distance_to_maximally_mixed(rho):.3e}")
         payload = "\n".join(lines) + "\n"
     _emit(payload, args.output)
     return EXIT_OK
@@ -152,10 +136,7 @@ def _cmd_circuit(args) -> int:
     if args.amps is not None or args.input is not None:
         state = _read_amplitudes(args, args.d * args.d)
         out = gates.apply(circuit, gates.append_ancilla(masker.digit_encode(state, args.d), args.d, 2))
-        doc = {
-            "d": args.d,
-            "amplitudes": [[float(a.real), float(a.imag)] for a in out.amps],
-        }
+        doc = {"d": args.d, "amplitudes": complex_pairs(out.amps)}
         payload = _dump_json(doc) if args.format == "json" else (
             "\n".join(f"{a.real:+.12f} {a.imag:+.12f}" for a in out.amps) + "\n"
         )

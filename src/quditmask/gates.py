@@ -133,7 +133,7 @@ def apply_gate(gate: Gate, state: StateVector) -> StateVector:
         arr = np.roll(arr, gate.power, axis=gate.parties[0])
     elif gate.kind == FOURIER:
         p = gate.parties[0]
-        arr = np.moveaxis(np.tensordot(gate_fourier_matrix(gate.d), arr, axes=([1], [p])), 0, p)
+        arr = np.moveaxis(np.tensordot(gate.matrix(), arr, axes=([1], [p])), 0, p)
     elif gate.kind == CPOW:
         c, t = gate.parties
         arr = arr.copy()
@@ -144,11 +144,6 @@ def apply_gate(gate: Gate, state: StateVector) -> StateVector:
     else:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
     return StateVector(state.dims, arr.reshape(-1))
-
-
-def gate_fourier_matrix(d: int) -> np.ndarray:
-    j = np.arange(d)
-    return np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
 
 
 def apply(circuit: Circuit, state: StateVector) -> StateVector:

@@ -9,10 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import Circuit, apply, append_ancilla, controlled_power_gate, fourier_gate
-from .meb import ghz_basis, two_qudit_meb
-from .tensorcore import ShapeError, StateVector, tensor_product
-
-GRAM_TOL = 1e-11
+from .meb import ghz_amplitudes, two_qudit_labels
+from .tensorcore import ShapeError, StateVector, complex_pairs, gram_deviation
 
 
 class BoundViolationError(ValueError):
@@ -44,8 +42,7 @@ class MaskingScheme:
         object.__setattr__(self, "images", images)
 
     def gram_deviation(self) -> float:
-        mat = np.array([im.amps for im in self.images])
-        return float(np.max(np.abs(mat.conj() @ mat.T - np.eye(self.w))))
+        return gram_deviation(self.images)
 
 
 def masking_capacity(d: int, m: int) -> int:
@@ -71,11 +68,11 @@ def build_scheme(w: int, d: int, m: int, provenance: str | None = None) -> Maski
             f"for d={d}, m={m}"
         )
     if m == 4:
-        left = right = two_qudit_meb(d)
+        left = right = ghz_amplitudes(d, 2, two_qudit_labels(d, w))
     else:
-        left = ghz_basis(d, m // 2)
-        right = ghz_basis(d, (m + 1) // 2)
-    images = tuple(tensor_product(left.states[k], right.states[k]) for k in range(w))
+        left = ghz_amplitudes(d, m // 2, np.arange(w))
+        right = ghz_amplitudes(d, (m + 1) // 2, np.arange(w))
+    images = tuple(StateVector((d,) * m, np.kron(a, b)) for a, b in zip(left, right))
     if provenance is None:
         provenance = {
             (4, 2, 4): "example1",
@@ -176,5 +173,5 @@ def scheme_to_json_dict(scheme: MaskingScheme) -> dict:
         "d": scheme.d,
         "m": scheme.m,
         "provenance": scheme.provenance,
-        "images": [[[float(a.real), float(a.imag)] for a in im.amps] for im in scheme.images],
+        "images": [complex_pairs(im.amps) for im in scheme.images],
     }

@@ -7,10 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensorcore import StateVector, distance_to_maximally_mixed, partial_trace
-
-GRAM_TOL = 1e-11
-MARGINAL_TOL = 1e-11
+from .tensorcore import (
+    GRAM_TOL,
+    MEB_MARGINAL_TOL,
+    StateVector,
+    complex_pairs,
+    distance_to_maximally_mixed,
+    gram_deviation,
+    partial_trace,
+)
 
 
 @dataclass(frozen=True)
@@ -47,6 +52,33 @@ class MebCertification:
         return self.orthonormal and self.marginals_maximally_mixed and self.complete
 
 
+def ghz_amplitudes(d: int, n_parties: int, labels) -> np.ndarray:
+    """Amplitudes of the ghz_basis(d, n_parties) elements with the given
+    labels, one row per label."""
+    labels = np.asarray(labels, dtype=np.int64)
+    s, t = np.divmod(labels, d ** (n_parties - 1))
+    j = np.arange(d)
+    # idx[r, j]: flat index of term j of row r. Digit t_i is (t // d^place)
+    # mod d; the higher digits of t vanish in the (j + ...) mod d below.
+    idx = j
+    for place in range(n_parties - 2, -1, -1):
+        idx = idx * d + (j + t[:, None] // d**place) % d
+    amps = np.zeros((labels.size, d**n_parties), dtype=complex)
+    amps[np.arange(labels.size)[:, None], idx] = np.exp(2j * np.pi / d) ** np.outer(s, j) / np.sqrt(d)
+    return amps
+
+
+def two_qudit_labels(d: int, count: int) -> np.ndarray:
+    """GHZ labels of the first `count` elements of the two_qudit_meb ordering."""
+    k = np.arange(count)
+    return (k % d) * d + k // d
+
+
+def _family(d: int, n_parties: int, rows: np.ndarray) -> MebFamily:
+    dims = (d,) * n_parties
+    return MebFamily(d, n_parties, tuple(StateVector(dims, r) for r in rows), tuple(range(len(rows))))
+
+
 def two_qudit_meb(d: int) -> MebFamily:
     """The d^2-element 2-qudit family
     |psi_k> = (1/sqrt d) sum_j w^{j(k mod d)} |j>|(j + floor(k/d)) mod d>,
@@ -54,15 +86,7 @@ def two_qudit_meb(d: int) -> MebFamily:
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    omega = np.exp(2j * np.pi / d)
-    states = []
-    for k in range(d * d):
-        s, t = k % d, k // d
-        amps = np.zeros(d * d, dtype=complex)
-        for j in range(d):
-            amps[j * d + (j + t) % d] = omega ** (j * s) / np.sqrt(d)
-        states.append(StateVector((d, d), amps))
-    return MebFamily(d, 2, tuple(states), tuple(range(d * d)))
+    return _family(d, 2, ghz_amplitudes(d, 2, two_qudit_labels(d, d * d)))
 
 
 def ghz_basis(d: int, n_parties: int) -> MebFamily:
@@ -75,45 +99,23 @@ def ghz_basis(d: int, n_parties: int) -> MebFamily:
     """
     if d < 2 or n_parties < 2:
         raise ValueError("need d >= 2 and n_parties >= 2")
-    omega = np.exp(2j * np.pi / d)
-    dim = d ** n_parties
-    states = []
-    for k in range(dim):
-        digits = _base_d_digits(k, d, n_parties)
-        s, shifts = digits[0], digits[1:]
-        amps = np.zeros(dim, dtype=complex)
-        for j in range(d):
-            idx = j
-            for t in shifts:
-                idx = idx * d + (j + t) % d
-            amps[idx] = omega ** (j * s) / np.sqrt(d)
-        states.append(StateVector((d,) * n_parties, amps))
-    return MebFamily(d, n_parties, tuple(states), tuple(range(dim)))
-
-
-def _base_d_digits(k: int, d: int, width: int) -> list[int]:
-    digits = []
-    for _ in range(width):
-        digits.append(k % d)
-        k //= d
-    return digits[::-1]
+    return _family(d, n_parties, ghz_amplitudes(d, n_parties, np.arange(d**n_parties)))
 
 
 def certify_meb(family: MebFamily) -> MebCertification:
     """Check orthonormality, single-party maximal mixedness, and completeness."""
-    mat = np.array([s.amps for s in family.states])
-    gram_dev = 0.0
-    if len(family.states) > 0:
-        gram = mat.conj() @ mat.T
-        gram_dev = float(np.max(np.abs(gram - np.eye(len(family.states)))))
-    marg_dev = 0.0
-    for s in family.states:
-        for party in range(family.n_parties):
-            marg_dev = max(marg_dev, distance_to_maximally_mixed(partial_trace(s, [party])))
+    gram_dev = gram_deviation(family.states)
+    marg_devs = [
+        distance_to_maximally_mixed(partial_trace(s, [p]))
+        for s in family.states
+        for p in range(family.n_parties)
+    ]
+    # np.max, unlike the builtin max, keeps NaN, so a NaN state fails the check.
+    marg_dev = float(np.max(marg_devs, initial=0.0))
     expected = family.d ** family.n_parties
     return MebCertification(
         orthonormal=gram_dev <= GRAM_TOL,
-        marginals_maximally_mixed=marg_dev <= MARGINAL_TOL,
+        marginals_maximally_mixed=marg_dev <= MEB_MARGINAL_TOL,
         complete=len(family.states) == expected,
         max_gram_deviation=gram_dev,
         max_marginal_deviation=marg_dev,
@@ -128,5 +130,5 @@ def meb_to_json_dict(family: MebFamily) -> dict:
         "d": family.d,
         "n_parties": family.n_parties,
         "labels": list(family.labels),
-        "states": [[[float(a.real), float(a.imag)] for a in s.amps] for s in family.states],
+        "states": [complex_pairs(s.amps) for s in family.states],
     }

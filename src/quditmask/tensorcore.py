@@ -12,9 +12,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-12
-PSD_TOL = 1e-10
-NORM_TOL = 1e-12
+# The package's one tolerance table.
+HERMITICITY_TOL = 1e-12  # max |rho - rho^dagger| accepted by DensityMatrix
+PSD_TOL = 1e-10  # most negative eigenvalue accepted by DensityMatrix
+NORM_TOL = 1e-12  # StateVector.is_normalized
+GRAM_TOL = 1e-11  # max |G - I| of a scheme's images or a basis
+MARGINAL_TOL = 1e-10  # max-entry distance of a masked marginal from I/d
+MEB_MARGINAL_TOL = 1e-11  # the same distance for a basis element in certify_meb
+VARIATION_TOL = 1e-10  # max-entry spread of a marginal across verified inputs
+INPUT_NORM_TOL = 1e-9  # | ||a|| - 1 | accepted for CLI input amplitudes
 
 
 class ShapeError(ValueError):
@@ -140,4 +146,19 @@ def partial_trace(state: StateVector, keep: list[int] | tuple[int, ...] | set[in
 
 def distance_to_maximally_mixed(rho: DensityMatrix) -> float:
     """Max-entry norm of rho - I/dim; zero iff maximally mixed."""
-    return float(np.max(np.abs(rho.mat - np.eye(rho.dim) / rho.dim)))
+    diff = rho.mat.copy()
+    diff.flat[:: rho.dim + 1] -= 1 / rho.dim  # the diagonal only: cheaper than building I/dim
+    return float(np.max(np.abs(diff)))
+
+
+def gram_deviation(states: tuple[StateVector, ...] | list[StateVector]) -> float:
+    """Max-entry norm of G - I for the Gram matrix G of the states; 0.0 if none."""
+    if not states:
+        return 0.0
+    mat = np.array([s.amps for s in states])
+    return float(np.max(np.abs(mat.conj() @ mat.T - np.eye(len(states)))))
+
+
+def complex_pairs(a: np.ndarray) -> list:
+    """A complex array of any shape as nested lists ending in [re, im] pairs."""
+    return np.stack((a.real, a.imag), -1).tolist()

@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from quditmask import basis_state, example1_scheme, mask
+from quditmask import (
+    StateVector,
+    basis_state,
+    build_scheme,
+    circuit_mask,
+    example1_scheme,
+    haar_random_state,
+    mask,
+    partial_trace,
+)
 from quditmask.cli import (
     EXIT_BOUND_VIOLATION,
     EXIT_MASKING_FAILURE,
@@ -91,6 +100,14 @@ class TestMask:
         code, _, err = run(capsys, "mask", "--w", "4", "--d", "2", "--m", "4")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("extra", [(), ("--renormalize",)])
+    def test_nan_amplitude_is_usage_error(self, capsys, extra):
+        code, out, err = run(
+            capsys, "mask", "--w", "4", "--d", "2", "--m", "4", "--amps", "nan,0.5,0.5,0.5", *extra
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert "finite" in err
+
 
 class TestCircuit:
     def test_emits_text_format(self, capsys):
@@ -117,6 +134,46 @@ class TestCircuit:
             capsys, "circuit", "--d", "2", "--apply", "/nonexistent.txt", "--amps", "1,0,0,0"
         )
         assert code == EXIT_USAGE
+
+    def test_inf_amplitude_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "circuit", "--d", "2", "--amps", "inf,0,0,0")
+        assert code == EXIT_USAGE and out == ""
+        assert "finite" in err
+
+
+def pairs(a):
+    """[re, im] pairs as a float array, the layout of the JSON documents."""
+    return np.stack((a.real, a.imag), -1)
+
+
+class TestJsonRoundTrip:
+    """The JSON documents parse back to exactly the library's amplitudes."""
+
+    def inline(self, state):
+        return ",".join(repr(complex(a)) for a in state.amps)
+
+    def test_build(self, capsys):
+        code, out, _ = run(capsys, "build", "--w", "9", "--d", "3", "--m", "4")
+        assert code == EXIT_OK
+        want = np.array([im.amps for im in build_scheme(9, 3, 4).images])
+        assert np.array(json.loads(out)["images"]).tobytes() == pairs(want).tobytes()
+
+    def test_mask(self, capsys):
+        state = haar_random_state(8, np.random.default_rng(7))
+        code, out, _ = run(capsys, "mask", "--w", "8", "--d", "2", "--m", "6", "--amps", self.inline(state))
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        masked = mask(build_scheme(8, 2, 6), state)
+        marginals = np.array([partial_trace(masked, [p]).mat for p in range(6)])
+        assert np.array(doc["amplitudes"]).tobytes() == pairs(masked.amps).tobytes()
+        assert np.array(doc["marginals"]).tobytes() == pairs(marginals).tobytes()
+
+    def test_circuit(self, capsys):
+        state = haar_random_state(9, np.random.default_rng(8))
+        code, out, _ = run(capsys, "circuit", "--d", "3", "--amps", self.inline(state))
+        assert code == EXIT_OK
+        want = circuit_mask(3, StateVector((9,), state.amps)).amps
+        assert np.array(json.loads(out)["amplitudes"]).tobytes() == pairs(want).tobytes()
 
 
 class TestVerify:

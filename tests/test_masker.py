@@ -15,6 +15,7 @@ from quditmask import (
     digit_encode,
     example1_scheme,
     example2_scheme,
+    ghz_basis,
     haar_random_state,
     inner_product,
     mask,
@@ -95,6 +96,12 @@ class TestBuildScheme:
     @pytest.mark.parametrize("w,d,m", [(4, 2, 4), (8, 2, 6), (9, 3, 4), (4, 2, 5), (27, 3, 6)])
     def test_images_orthonormal(self, w, d, m):
         assert build_scheme(w, d, m).gram_deviation() <= 1e-11
+
+    @pytest.mark.parametrize("w,d,m", [(8, 2, 6), (4, 2, 10), (27, 3, 6)])
+    def test_images_are_kron_of_ghz_elements(self, w, d, m):
+        left, right = ghz_basis(d, m // 2).states, ghz_basis(d, (m + 1) // 2).states
+        for k, image in enumerate(build_scheme(w, d, m).images):
+            assert image.amps.tobytes() == np.kron(left[k].amps, right[k].amps).tobytes()
 
     def test_capacity(self):
         assert masking_capacity(2, 4) == 4

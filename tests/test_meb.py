@@ -69,6 +69,12 @@ class TestGhzBasis:
             # amplitude on the j=0 term, so plain set equality applies
             assert ghz == meb
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_two_qudit_family_is_relabelled_n2_family(self, d):
+        ghz = ghz_basis(d, 2).states
+        for k, state in enumerate(two_qudit_meb(d).states):
+            assert state.amps.tobytes() == ghz[(k % d) * d + k // d].amps.tobytes()
+
     @pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
     def test_certification_passes(self, d, n):
         cert = certify_meb(ghz_basis(d, n))
@@ -92,6 +98,17 @@ class TestCertifyMeb:
         assert cert.orthonormal
         assert not cert.marginals_maximally_mixed
         assert cert.max_marginal_deviation == pytest.approx(0.5)
+        assert not cert.passed
+
+    def test_nan_state_fails_mixedness(self):
+        family = ghz_basis(2, 3)
+        amps = family.states[2].amps.copy()
+        amps[0] = np.nan
+        states = family.states[:2] + (StateVector((2, 2, 2), amps),) + family.states[3:]
+        cert = certify_meb(MebFamily(2, 3, states, family.labels))
+        assert type(cert.max_marginal_deviation) is float
+        assert np.isnan(cert.max_marginal_deviation)
+        assert not cert.marginals_maximally_mixed
         assert not cert.passed
 
     def test_incomplete_family_flagged(self):

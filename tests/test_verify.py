@@ -58,6 +58,18 @@ class TestVerifyScheme:
         assert scheme.gram_deviation() > 1e-6
         assert not report.checks["isometry_gram"].passed
 
+    def test_nan_image_fails_marginal_checks(self):
+        base = example1_scheme()
+        amps = base.images[1].amps.copy()
+        amps[0] = np.nan
+        images = (base.images[0], StateVector(Q4, amps)) + base.images[2:]
+        report = verify_scheme(MaskingScheme(4, 2, 4, images), n_samples=5, seed=0)
+        assert all(type(x) is float and np.isnan(x) for x in report.per_party_max_deviation)
+        assert np.isnan(report.checks["marginals_maximally_mixed"].value)
+        assert not report.checks["marginals_maximally_mixed"].passed
+        assert not report.checks["marginals_input_independent"].passed
+        assert not report.passed
+
     def test_deterministic_given_seed(self):
         scheme = build_scheme(9, 3, 4)
         a = verify_scheme(scheme, n_samples=15, seed=42)
