@@ -16,7 +16,13 @@ import numpy as np
 
 from . import gates, masker, verify
 from .masker import BoundViolationError
-from .tensorcore import INPUT_NORM_TOL, StateVector, complex_pairs, distance_to_maximally_mixed, partial_trace
+from .tensorcore import (
+    INPUT_NORM_TOL,
+    StateVector,
+    complex_pairs,
+    max_distance_to_maximally_mixed,
+    reduced_densities,
+)
 
 EXIT_OK = 0
 EXIT_MASKING_FAILURE = 2
@@ -106,20 +112,20 @@ def _cmd_mask(args) -> int:
     scheme = masker.build_scheme(args.w, args.d, args.m)
     state = _read_amplitudes(args, args.w)
     masked = masker.mask(scheme, state)
-    marginals = [partial_trace(masked, [p]) for p in range(scheme.m)]
+    marginals = [reduced_densities(masked.amps[None], masked.dims, [p])[0] for p in range(scheme.m)]
     if args.format == "json":
         doc = {
             "w": scheme.w,
             "d": scheme.d,
             "m": scheme.m,
             "amplitudes": complex_pairs(masked.amps),
-            "marginals": [complex_pairs(rho.mat) for rho in marginals],
+            "marginals": [complex_pairs(rho) for rho in marginals],
         }
         payload = _dump_json(doc)
     else:
         lines = [f"masked state on {scheme.m} parties of dimension {scheme.d}"]
         for p, rho in enumerate(marginals):
-            lines.append(f"party {p}: max deviation from I/d = {distance_to_maximally_mixed(rho):.3e}")
+            lines.append(f"party {p}: max deviation from I/d = {max_distance_to_maximally_mixed(rho):.3e}")
         payload = "\n".join(lines) + "\n"
     _emit(payload, args.output)
     return EXIT_OK

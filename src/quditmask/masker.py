@@ -4,13 +4,13 @@ parties."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gates import Circuit, apply, append_ancilla, controlled_power_gate, fourier_gate
 from .meb import ghz_amplitudes, two_qudit_labels
-from .tensorcore import ShapeError, StateVector, complex_pairs, gram_deviation
+from .tensorcore import ShapeError, StateVector, check_size_budget, complex_pairs, gram_deviation
 
 
 class BoundViolationError(ValueError):
@@ -19,30 +19,44 @@ class BoundViolationError(ValueError):
 
 @dataclass(frozen=True)
 class MaskingScheme:
-    """Ordered list of w orthonormal m-party image states over (C^d)^(x m)."""
+    """Ordered list of w orthonormal m-party image states over (C^d)^(x m).
+
+    The images are stored once, as the read-only (w, d**m) block `amps`;
+    `images` holds read-only StateVector views of its rows. Pass `images`
+    as that block or as a sequence of StateVectors, which is stacked once.
+    """
 
     w: int
     d: int
     m: int
-    images: tuple[StateVector, ...]
+    images: tuple[StateVector, ...] | np.ndarray
     provenance: str = "custom"
+    amps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        images = tuple(self.images)
-        if len(images) != self.w:
-            raise ValueError(f"expected {self.w} images, got {len(images)}")
         dims = (self.d,) * self.m
-        for im in images:
-            if im.dims != dims:
-                raise ValueError(f"image dims {im.dims} != {dims}")
+        if isinstance(self.images, np.ndarray):
+            amps = np.asarray(self.images, dtype=complex)
+            if amps.shape != (self.w, self.d**self.m):
+                raise ValueError(f"image block shape {amps.shape} != ({self.w}, {self.d ** self.m})")
+        else:
+            images = tuple(self.images)
+            if len(images) != self.w:
+                raise ValueError(f"expected {self.w} images, got {len(images)}")
+            for im in images:
+                if im.dims != dims:
+                    raise ValueError(f"image dims {im.dims} != {dims}")
+            amps = np.array([im.amps for im in images], dtype=complex).reshape(self.w, self.d**self.m)
         if self.w > self.d ** (self.m // 2):
             raise BoundViolationError(
                 f"w={self.w} exceeds the masking capacity d^floor(m/2) = {self.d ** (self.m // 2)}"
             )
-        object.__setattr__(self, "images", images)
+        amps.flags.writeable = False
+        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "images", tuple(StateVector(dims, row) for row in amps))
 
     def gram_deviation(self) -> float:
-        return gram_deviation(self.images)
+        return gram_deviation(self.amps)
 
 
 def masking_capacity(d: int, m: int) -> int:
@@ -67,12 +81,14 @@ def build_scheme(w: int, d: int, m: int, provenance: str | None = None) -> Maski
             f"w={w} exceeds the masking capacity d^floor(m/2) = {masking_capacity(d, m)} "
             f"for d={d}, m={m}"
         )
+    check_size_budget(w, d**m)
     if m == 4:
         left = right = ghz_amplitudes(d, 2, two_qudit_labels(d, w))
     else:
         left = ghz_amplitudes(d, m // 2, np.arange(w))
         right = ghz_amplitudes(d, (m + 1) // 2, np.arange(w))
-    images = tuple(StateVector((d,) * m, np.kron(a, b)) for a, b in zip(left, right))
+    # Row-wise kron: each entry is one product, as in np.kron of the rows.
+    images = (left[:, :, None] * right[:, None, :]).reshape(w, d**m)
     if provenance is None:
         provenance = {
             (4, 2, 4): "example1",
@@ -96,8 +112,10 @@ def mask(scheme: MaskingScheme, state: StateVector) -> StateVector:
     if state.dims != (scheme.w,):
         raise ShapeError(f"input must be a single party of dimension {scheme.w}, got dims {state.dims}")
     out = np.zeros(scheme.d ** scheme.m, dtype=complex)
-    for a, image in zip(state.amps, scheme.images):
-        out += a * image.amps
+    # One axpy per image, in image order: a single GEMV sums in another
+    # order and changes the last bits of the output.
+    for a, image in zip(state.amps, scheme.amps):
+        out += a * image
     return StateVector((scheme.d,) * scheme.m, out)
 
 
@@ -173,5 +191,5 @@ def scheme_to_json_dict(scheme: MaskingScheme) -> dict:
         "d": scheme.d,
         "m": scheme.m,
         "provenance": scheme.provenance,
-        "images": [complex_pairs(im.amps) for im in scheme.images],
+        "images": complex_pairs(scheme.amps),
     }

@@ -11,10 +11,11 @@ from .tensorcore import (
     GRAM_TOL,
     MEB_MARGINAL_TOL,
     StateVector,
+    check_size_budget,
     complex_pairs,
-    distance_to_maximally_mixed,
     gram_deviation,
-    partial_trace,
+    max_distance_to_maximally_mixed,
+    reduced_densities,
 )
 
 
@@ -55,6 +56,7 @@ class MebCertification:
 def ghz_amplitudes(d: int, n_parties: int, labels) -> np.ndarray:
     """Amplitudes of the ghz_basis(d, n_parties) elements with the given
     labels, one row per label."""
+    check_size_budget(len(labels), d**n_parties)
     labels = np.asarray(labels, dtype=np.int64)
     s, t = np.divmod(labels, d ** (n_parties - 1))
     j = np.arange(d)
@@ -99,20 +101,19 @@ def ghz_basis(d: int, n_parties: int) -> MebFamily:
     """
     if d < 2 or n_parties < 2:
         raise ValueError("need d >= 2 and n_parties >= 2")
-    return _family(d, n_parties, ghz_amplitudes(d, n_parties, np.arange(d**n_parties)))
+    return _family(d, n_parties, ghz_amplitudes(d, n_parties, range(d**n_parties)))
 
 
 def certify_meb(family: MebFamily) -> MebCertification:
     """Check orthonormality, single-party maximal mixedness, and completeness."""
-    gram_dev = gram_deviation(family.states)
-    marg_devs = [
-        distance_to_maximally_mixed(partial_trace(s, [p]))
-        for s in family.states
-        for p in range(family.n_parties)
-    ]
+    dims = (family.d,) * family.n_parties
+    expected = family.d**family.n_parties
+    # An explicit row length: reshape(0, -1) cannot infer it for an empty family.
+    amps = np.array([s.amps for s in family.states], dtype=complex).reshape(len(family.states), expected)
+    gram_dev = gram_deviation(amps)
+    marg_devs = [max_distance_to_maximally_mixed(reduced_densities(amps, dims, [p])) for p in range(len(dims))]
     # np.max, unlike the builtin max, keeps NaN, so a NaN state fails the check.
     marg_dev = float(np.max(marg_devs, initial=0.0))
-    expected = family.d ** family.n_parties
     return MebCertification(
         orthonormal=gram_dev <= GRAM_TOL,
         marginals_maximally_mixed=marg_dev <= MEB_MARGINAL_TOL,

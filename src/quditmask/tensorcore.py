@@ -8,6 +8,7 @@ you'd read off left to right.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,7 @@ MARGINAL_TOL = 1e-10  # max-entry distance of a masked marginal from I/d
 MEB_MARGINAL_TOL = 1e-11  # the same distance for a basis element in certify_meb
 VARIATION_TOL = 1e-10  # max-entry spread of a marginal across verified inputs
 INPUT_NORM_TOL = 1e-9  # | ||a|| - 1 | accepted for CLI input amplitudes
+SIZE_BUDGET_BYTES = 2**28  # largest amplitude block (16 B per amplitude) build_scheme or ghz_amplitudes allocates
 
 
 class ShapeError(ValueError):
@@ -96,10 +98,7 @@ class DensityMatrix:
         if mat.shape != (self.dim, self.dim):
             raise ShapeError(f"matrix shape {mat.shape} != ({self.dim}, {self.dim})")
         if self.check:
-            if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
-                raise ValueError("matrix is not Hermitian within tolerance")
-            if np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)) < -PSD_TOL:
-                raise ValueError("matrix is not positive semidefinite within tolerance")
+            _check_densities(mat[None])
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
 
@@ -127,36 +126,86 @@ def density_of(state: StateVector) -> DensityMatrix:
     return DensityMatrix(state.dim, np.outer(state.amps, state.amps.conj()))
 
 
-def partial_trace(state: StateVector, keep: list[int] | tuple[int, ...] | set[int]) -> DensityMatrix:
-    """Reduced density matrix on the `keep` parties, tracing out the rest.
+def _check_densities(rho: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of the (N, k, k) stack is
+    Hermitian and positive semidefinite within tolerance."""
+    rho_h = rho.conj().transpose(0, 2, 1)
+    if np.max(np.abs(rho - rho_h), initial=0.0) > HERMITICITY_TOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    herm = (rho + rho_h) / 2
+    if not np.isfinite(herm).all():
+        # LAPACK fails on a non-finite matrix, so those are left out; their
+        # NaN entries fail every deviation check downstream.
+        herm = herm[np.isfinite(herm).all(axis=(1, 2))]
+    if np.min(np.linalg.eigvalsh(herm), initial=0.0) < -PSD_TOL:
+        raise ValueError("matrix is not positive semidefinite within tolerance")
 
-    The kept parties retain their relative order.
+
+def check_size_budget(rows: int, dim: int) -> None:
+    """Raise ValueError, before anything is allocated, if `rows` states of
+    `dim` complex amplitudes exceed SIZE_BUDGET_BYTES."""
+    size = 16 * rows * dim
+    if size > SIZE_BUDGET_BYTES:
+        raise ValueError(
+            f"{rows} states of {dim} amplitudes need {size} bytes, "
+            f"over the size budget of {SIZE_BUDGET_BYTES} bytes"
+        )
+
+
+def reduced_densities(amps: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
+    """Reduced density matrices on the `keep` parties of a stack of states.
+
+    amps: (N, prod(dims)) amplitudes, one state per row. Returns the
+    (N, dk, dk) marginals, dk the product of the kept dimensions, with the
+    kept parties in their relative order. The whole stack is checked at
+    once against the DensityMatrix tolerances, with the same messages.
     """
+    dims = tuple(dims)
     keep = sorted(set(int(i) for i in keep))
     if not keep:
         raise ValueError("keep-set must be non-empty")
-    if keep[0] < 0 or keep[-1] >= state.n_parties:
-        raise ValueError(f"keep-set {keep} out of range for {state.n_parties} parties")
-    drop = [i for i in range(state.n_parties) if i not in keep]
-    psi = state.tensor().transpose(keep + drop)
-    d_keep = int(np.prod([state.dims[i] for i in keep]))
-    psi = psi.reshape(d_keep, -1)
-    return DensityMatrix(d_keep, psi @ psi.conj().T)
+    if keep[0] < 0 or keep[-1] >= len(dims):
+        raise ValueError(f"keep-set {keep} out of range for {len(dims)} parties")
+    drop = [i for i in range(len(dims)) if i not in keep]
+    d_keep = math.prod(dims[i] for i in keep)
+    psi = amps.reshape((len(amps),) + dims).transpose([0] + [i + 1 for i in keep + drop])
+    psi = psi.reshape(len(amps), d_keep, math.prod(dims) // d_keep)
+    rho = psi @ psi.conj().transpose(0, 2, 1)
+    _check_densities(rho)
+    return rho
+
+
+def partial_trace(state: StateVector, keep: list[int] | tuple[int, ...] | set[int]) -> DensityMatrix:
+    """Reduced density matrix on the `keep` parties, tracing out the rest.
+
+    The kept parties retain their relative order. A batch of one for
+    reduced_densities, which also validates the result.
+    """
+    rho = reduced_densities(state.amps[None], state.dims, keep)[0]
+    return DensityMatrix(len(rho), rho, check=False)
+
+
+def max_distance_to_maximally_mixed(mats: np.ndarray) -> float:
+    """Max-entry norm of mat - I/d over a (..., d, d) stack; 0.0 if empty,
+    NaN if any entry is NaN."""
+    d = mats.shape[-1]
+    diff = mats.copy()
+    # The diagonal only, through a flat view: cheaper than building I/d.
+    diff.reshape(diff.shape[:-2] + (d * d,))[..., :: d + 1] -= 1 / d
+    return float(np.max(np.abs(diff), initial=0.0))
 
 
 def distance_to_maximally_mixed(rho: DensityMatrix) -> float:
     """Max-entry norm of rho - I/dim; zero iff maximally mixed."""
-    diff = rho.mat.copy()
-    diff.flat[:: rho.dim + 1] -= 1 / rho.dim  # the diagonal only: cheaper than building I/dim
-    return float(np.max(np.abs(diff)))
+    return max_distance_to_maximally_mixed(rho.mat)
 
 
-def gram_deviation(states: tuple[StateVector, ...] | list[StateVector]) -> float:
-    """Max-entry norm of G - I for the Gram matrix G of the states; 0.0 if none."""
-    if not states:
+def gram_deviation(amps: np.ndarray) -> float:
+    """Max-entry norm of G - I for the Gram matrix G of the rows of a
+    (N, dim) amplitude block; 0.0 if N = 0."""
+    if not len(amps):
         return 0.0
-    mat = np.array([s.amps for s in states])
-    return float(np.max(np.abs(mat.conj() @ mat.T - np.eye(len(states)))))
+    return float(np.max(np.abs(amps.conj() @ amps.T - np.eye(len(amps)))))
 
 
 def complex_pairs(a: np.ndarray) -> list:

@@ -18,6 +18,7 @@ from .tensorcore import (
     complex_pairs,
     distance_to_maximally_mixed,
     partial_trace,
+    reduced_densities,
 )
 
 
@@ -132,7 +133,7 @@ def leakage_profile(state: StateVector) -> LeakageProfile:
     (population) leakage relative to the maximally mixed state."""
     parties = []
     for party in range(state.n_parties):
-        rho = partial_trace(state, [party]).mat
+        rho = reduced_densities(state.amps[None], state.dims, [party])[0]
         d = rho.shape[0]
         off = rho - np.diag(np.diag(rho))
         parties.append(

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,26 @@ class TestMask:
         )
         assert code == EXIT_USAGE and out == ""
         assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build",),
+        ("mask", "--amps", "0.5,0.5,0.5,0.5"),
+        ("verify", "--samples", "2"),
+    ],
+)
+def test_oversize_register_is_usage_error(capsys, argv):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv, "--w", "4", "--d", "2", "--m", "26")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE and out == ""
+    assert len(err.splitlines()) == 1 and "size budget" in err
+    assert peak < 2**20
 
 
 class TestCircuit:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -292,3 +294,63 @@ class TestSchemeExport:
         images = tuple(example1_scheme().images) + (example1_scheme().images[0],)
         with pytest.raises(BoundViolationError):
             MaskingScheme(5, 2, 4, images)
+
+
+class TestImageBlock:
+    def test_images_are_read_only_views_of_one_block(self):
+        scheme = build_scheme(8, 2, 6)
+        assert scheme.amps.shape == (8, 64)
+        for k, image in enumerate(scheme.images):
+            assert np.shares_memory(image.amps, scheme.amps)
+            assert image.amps.tobytes() == scheme.amps[k].tobytes()
+        with pytest.raises(ValueError):
+            scheme.amps[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            scheme.images[1].amps[0] = 1.0
+
+    def test_state_vector_images_are_stacked_once(self):
+        base = example1_scheme()
+        scheme = MaskingScheme(4, 2, 4, base.images)
+        assert scheme.amps.tobytes() == base.amps.tobytes()
+        assert not np.shares_memory(scheme.amps, base.amps)
+        assert all(np.shares_memory(im.amps, scheme.amps) for im in scheme.images)
+
+    def test_state_vector_images_are_validated(self):
+        images = example1_scheme().images
+        with pytest.raises(ValueError, match="expected 4 images"):
+            MaskingScheme(4, 2, 4, images[:3])
+        with pytest.raises(ValueError, match="image dims"):
+            MaskingScheme(4, 2, 4, images[:3] + (StateVector((4, 4), np.eye(16)[0]),))
+        with pytest.raises(BoundViolationError):
+            MaskingScheme(5, 2, 4, images + images[:1])
+
+    def test_block_shape_is_validated(self):
+        with pytest.raises(ValueError, match="block shape"):
+            MaskingScheme(4, 2, 4, np.zeros((3, 16), dtype=complex))
+
+    @pytest.mark.parametrize("w,d,m", [(8, 2, 6), (27, 3, 6)])
+    def test_gram_deviation_matches_stacked_formula(self, w, d, m):
+        scheme = build_scheme(w, d, m)
+        mat = np.array([im.amps for im in scheme.images])
+        want = float(np.max(np.abs(mat.conj() @ mat.T - np.eye(w))))
+        assert np.float64(scheme.gram_deviation()).tobytes() == np.float64(want).tobytes()
+
+
+class TestSizeBudget:
+    def test_oversize_scheme_rejected_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="size budget"):
+                build_scheme(4, 2, 26)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_oversize_basis_rejected(self):
+        with pytest.raises(ValueError, match="size budget"):
+            ghz_basis(2, 16)
+
+    def test_largest_size_in_use_is_admitted(self):
+        scheme = build_scheme(4, 2, 20)
+        assert scheme.amps.shape == (4, 2**20)

@@ -111,6 +111,11 @@ class TestCertifyMeb:
         assert not cert.marginals_maximally_mixed
         assert not cert.passed
 
+    def test_empty_family_is_incomplete(self):
+        cert = certify_meb(MebFamily(2, 3, (), ()))
+        assert not cert.complete and cert.count == 0 and not cert.passed
+        assert cert.max_gram_deviation == 0.0 and cert.max_marginal_deviation == 0.0
+
     def test_incomplete_family_flagged(self):
         family = ghz_basis(2, 3)
         truncated = MebFamily(2, 3, family.states[:7], family.labels[:7])

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditmask import (
+    DensityMatrix,
     ShapeError,
     StateVector,
     basis_state,
@@ -13,6 +14,7 @@ from quditmask import (
     partial_trace,
     tensor_product,
 )
+from quditmask.tensorcore import _check_densities, reduced_densities
 from oracles import partial_trace_oracle, state_from_kets, two_qudit_meb_state_oracle
 
 BELL = StateVector((2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2))
@@ -183,6 +185,52 @@ class TestPartialTrace:
             lhs = partial_trace(joint, [party]).mat
             rhs = partial_trace(psi, [party]).mat * (phi.norm() ** 2)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+class TestReducedDensities:
+    @pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (5, 3)])
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_matches_block_summation_oracle(self, d, n, count):
+        rng = np.random.default_rng(d * n + count)
+        dims = (d,) * n
+        states = [random_state(dims, rng) for _ in range(count)]
+        amps = np.array([s.amps for s in states])
+        for keep in [[p] for p in range(n)] + [[0, n - 1]]:
+            got = reduced_densities(amps, dims, keep)
+            assert got.shape == (count, d ** len(keep), d ** len(keep))
+            for rho, s in zip(got, states):
+                assert np.max(np.abs(rho - partial_trace_oracle(s.amps, dims, keep))) <= 1e-13
+
+    @pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (5, 3)])
+    def test_partial_trace_is_its_batch_of_one(self, d, n):
+        rng = np.random.default_rng(7)
+        states = [random_state((d,) * n, rng) for _ in range(3)]
+        stacked = reduced_densities(np.array([s.amps for s in states]), (d,) * n, [1])
+        for rho, s in zip(stacked, states):
+            assert rho.tobytes() == partial_trace(s, [1]).mat.tobytes()
+
+    def test_nan_state_stays_in_its_own_rows(self):
+        rng = np.random.default_rng(3)
+        amps = np.array([random_state((3, 3, 3), rng).amps for _ in range(3)])
+        amps[1, 5] = np.nan
+        for party in range(3):
+            rho = reduced_densities(amps, (3, 3, 3), [party])
+            assert np.isnan(rho[1]).any()
+            assert np.isfinite(rho[[0, 2]]).all()
+
+    def test_empty_stack(self):
+        assert reduced_densities(np.zeros((0, 8), dtype=complex), (2, 2, 2), [0]).shape == (0, 2, 2)
+
+    def test_one_bad_matrix_fails_the_whole_stack(self):
+        good = np.eye(2, dtype=complex) / 2
+        skew = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
+        negative = np.diag([1.5, -0.5]).astype(complex)
+        for bad, message in [(skew, "not Hermitian"), (negative, "not positive semidefinite")]:
+            with pytest.raises(ValueError, match=message):
+                _check_densities(np.array([good, bad, good]))
+            with pytest.raises(ValueError, match=message):
+                DensityMatrix(2, bad)
+        _check_densities(np.array([good, good]))
 
 
 class TestDistanceToMaximallyMixed:

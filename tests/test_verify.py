@@ -70,6 +70,16 @@ class TestVerifyScheme:
         assert not report.checks["marginals_input_independent"].passed
         assert not report.passed
 
+    def test_nan_image_at_d3_fails_without_raising(self):
+        # LAPACK cannot diagonalise a NaN qutrit marginal; it must still FAIL, not raise.
+        base = build_scheme(9, 3, 4)
+        amps = base.images[0].amps.copy()
+        amps[0] = np.nan
+        images = (StateVector((3,) * 4, amps),) + base.images[1:]
+        report = verify_scheme(MaskingScheme(9, 3, 4, images), n_samples=2, seed=0)
+        assert np.isnan(report.checks["marginals_maximally_mixed"].value)
+        assert not report.passed
+
     def test_deterministic_given_seed(self):
         scheme = build_scheme(9, 3, 4)
         a = verify_scheme(scheme, n_samples=15, seed=42)
