@@ -241,10 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     except BoundViolationError as exc:
         print(f"quditmask: bound violation: {exc}", file=sys.stderr)
         return EXIT_BOUND_VIOLATION
-    except UsageError as exc:
-        print(f"quditmask: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"quditmask: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

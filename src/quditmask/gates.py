@@ -8,6 +8,7 @@ inspection and testing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,27 +42,22 @@ class Gate:
     def matrix(self) -> np.ndarray:
         """Dense unitary acting on the gate's own parties."""
         d = self.d
-        if self.kind == SHIFT:
-            u = np.zeros((d, d), dtype=complex)
-            for j in range(d):
-                u[(j + self.power) % d, j] = 1.0
-            return u
         if self.kind == FOURIER:
             j = np.arange(d)
             return np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
-        if self.kind == CPOW:
-            shift = shift_gate(d, 1, 0).matrix()
-            out = np.zeros((d * d, d * d), dtype=complex)
-            for j in range(d):
-                out[j * d:(j + 1) * d, j * d:(j + 1) * d] = np.linalg.matrix_power(shift, j)
-            return out
-        if self.kind == RELABEL:
-            n = len(self.permutation)
-            out = np.zeros((n, n), dtype=complex)
-            for src, dst in enumerate(self.permutation):
-                out[dst, src] = 1.0
-            return out
-        raise ValueError(f"unknown gate kind {self.kind!r}")
+        # The other kinds permute basis states: column k has its 1 in row perm[k].
+        if self.kind == SHIFT:
+            perm = (np.arange(d) + self.power) % d
+        elif self.kind == CPOW:
+            k = np.arange(d * d)
+            perm = k - k % d + (k % d + k // d) % d
+        elif self.kind == RELABEL:
+            perm = np.array(self.permutation, dtype=np.intp)
+        else:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        out = np.zeros((len(perm), len(perm)), dtype=complex)
+        out[perm, np.arange(len(perm))] = 1.0
+        return out
 
 
 def shift_gate(d: int, power: int, party: int) -> Gate:
@@ -111,7 +107,7 @@ class Circuit:
 
 def _check_gate(gate: Gate, dims: tuple[int, ...]):
     if gate.kind == RELABEL:
-        if len(gate.permutation) != int(np.prod(dims)):
+        if len(gate.permutation) != math.prod(dims):
             raise ShapeError("relabel permutation length != register dimension")
         return
     for p in gate.parties:

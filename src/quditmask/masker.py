@@ -10,20 +10,20 @@ import numpy as np
 
 from .gates import Circuit, apply, append_ancilla, controlled_power_gate, fourier_gate
 from .meb import ghz_amplitudes, two_qudit_labels
-from .tensorcore import ShapeError, StateVector, check_size_budget, complex_pairs, gram_deviation
+from .tensorcore import ShapeError, StateVector, check_size_budget, complex_pairs, gram_deviation, stack_states
 
 
 class BoundViolationError(ValueError):
     """Requested input level count exceeds the masking capacity d^floor(m/2)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaskingScheme:
     """Ordered list of w orthonormal m-party image states over (C^d)^(x m).
 
-    The images are stored once, as the read-only (w, d**m) block `amps`;
-    `images` holds read-only StateVector views of its rows. Pass `images`
-    as that block or as a sequence of StateVectors, which is stacked once.
+    The images are stored once, as the read-only (w, d**m) block `amps`, with
+    read-only StateVector views of its rows in `images`; pass either as `images`.
+    Equality is identity; compare `amps` to compare schemes.
     """
 
     w: int
@@ -31,29 +31,16 @@ class MaskingScheme:
     m: int
     images: tuple[StateVector, ...] | np.ndarray
     provenance: str = "custom"
-    amps: np.ndarray = field(init=False, repr=False, compare=False)
+    amps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        dims = (self.d,) * self.m
-        if isinstance(self.images, np.ndarray):
-            amps = np.asarray(self.images, dtype=complex)
-            if amps.shape != (self.w, self.d**self.m):
-                raise ValueError(f"image block shape {amps.shape} != ({self.w}, {self.d ** self.m})")
-        else:
-            images = tuple(self.images)
-            if len(images) != self.w:
-                raise ValueError(f"expected {self.w} images, got {len(images)}")
-            for im in images:
-                if im.dims != dims:
-                    raise ValueError(f"image dims {im.dims} != {dims}")
-            amps = np.array([im.amps for im in images], dtype=complex).reshape(self.w, self.d**self.m)
+        amps, images = stack_states(self.images, (self.d,) * self.m, self.w, "image")
         if self.w > self.d ** (self.m // 2):
             raise BoundViolationError(
                 f"w={self.w} exceeds the masking capacity d^floor(m/2) = {self.d ** (self.m // 2)}"
             )
-        amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "images", tuple(StateVector(dims, row) for row in amps))
+        object.__setattr__(self, "images", images)
 
     def gram_deviation(self) -> float:
         return gram_deviation(self.amps)
@@ -126,8 +113,7 @@ def digit_encode(state: StateVector, d: int) -> StateVector:
     if w > d * d:
         raise ShapeError(f"cannot encode {w} levels into two parties of dimension {d}")
     out = np.zeros(d * d, dtype=complex)
-    for k, a in enumerate(state.amps):
-        out[(k % d) * d + k // d] = a
+    out[two_qudit_labels(d, w)] = state.amps
     return StateVector((d, d), out)
 
 

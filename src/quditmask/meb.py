@@ -3,7 +3,7 @@ single-party reduction is maximally mixed."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,24 +16,25 @@ from .tensorcore import (
     gram_deviation,
     max_distance_to_maximally_mixed,
     reduced_densities,
+    stack_states,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MebFamily:
-    """An ordered family of n-qudit states intended as a maximum entangled basis."""
+    """An ordered family of n-qudit states intended as a maximum entangled basis,
+    stored as MaskingScheme stores its images: `amps` is the read-only (N, d**n)
+    block and `states` its row views. Equality is identity; compare `amps`."""
 
     d: int
     n_parties: int
-    states: tuple[StateVector, ...]
+    states: tuple[StateVector, ...] | np.ndarray
     labels: tuple[int, ...]
+    amps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        states = tuple(self.states)
-        dims = (self.d,) * self.n_parties
-        for s in states:
-            if s.dims != dims:
-                raise ValueError(f"state dims {s.dims} != {dims}")
+        amps, states = stack_states(self.states, (self.d,) * self.n_parties, None, "state")
+        object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "labels", tuple(self.labels))
 
@@ -76,11 +77,6 @@ def two_qudit_labels(d: int, count: int) -> np.ndarray:
     return (k % d) * d + k // d
 
 
-def _family(d: int, n_parties: int, rows: np.ndarray) -> MebFamily:
-    dims = (d,) * n_parties
-    return MebFamily(d, n_parties, tuple(StateVector(dims, r) for r in rows), tuple(range(len(rows))))
-
-
 def two_qudit_meb(d: int) -> MebFamily:
     """The d^2-element 2-qudit family
     |psi_k> = (1/sqrt d) sum_j w^{j(k mod d)} |j>|(j + floor(k/d)) mod d>,
@@ -88,7 +84,7 @@ def two_qudit_meb(d: int) -> MebFamily:
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    return _family(d, 2, ghz_amplitudes(d, 2, two_qudit_labels(d, d * d)))
+    return MebFamily(d, 2, ghz_amplitudes(d, 2, two_qudit_labels(d, d * d)), range(d * d))
 
 
 def ghz_basis(d: int, n_parties: int) -> MebFamily:
@@ -101,17 +97,15 @@ def ghz_basis(d: int, n_parties: int) -> MebFamily:
     """
     if d < 2 or n_parties < 2:
         raise ValueError("need d >= 2 and n_parties >= 2")
-    return _family(d, n_parties, ghz_amplitudes(d, n_parties, range(d**n_parties)))
+    return MebFamily(d, n_parties, ghz_amplitudes(d, n_parties, range(d**n_parties)), range(d**n_parties))
 
 
 def certify_meb(family: MebFamily) -> MebCertification:
     """Check orthonormality, single-party maximal mixedness, and completeness."""
     dims = (family.d,) * family.n_parties
     expected = family.d**family.n_parties
-    # An explicit row length: reshape(0, -1) cannot infer it for an empty family.
-    amps = np.array([s.amps for s in family.states], dtype=complex).reshape(len(family.states), expected)
-    gram_dev = gram_deviation(amps)
-    marg_devs = [max_distance_to_maximally_mixed(reduced_densities(amps, dims, [p])) for p in range(len(dims))]
+    gram_dev = gram_deviation(family.amps)
+    marg_devs = [max_distance_to_maximally_mixed(reduced_densities(family.amps, dims, [p])) for p in range(len(dims))]
     # np.max, unlike the builtin max, keeps NaN, so a NaN state fails the check.
     marg_dev = float(np.max(marg_devs, initial=0.0))
     return MebCertification(
@@ -131,5 +125,5 @@ def meb_to_json_dict(family: MebFamily) -> dict:
         "d": family.d,
         "n_parties": family.n_parties,
         "labels": list(family.labels),
-        "states": [complex_pairs(s.amps) for s in family.states],
+        "states": complex_pairs(family.amps),
     }

@@ -9,7 +9,7 @@ you'd read off left to right.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +29,13 @@ class ShapeError(ValueError):
     """Register dimensions of two operands are incompatible."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state on a multi-qudit register.
 
     dims: per-party local dimensions, each >= 2.
     amps: complex amplitudes of length prod(dims), big-endian party order.
+    Equality is identity; compare `amps` to compare states.
     """
 
     dims: tuple[int, ...]
@@ -45,7 +46,7 @@ class StateVector:
         if any(d < 2 for d in dims):
             raise ValueError(f"every party dimension must be >= 2, got {dims}")
         amps = np.asarray(self.amps, dtype=complex).reshape(-1)
-        if amps.size != int(np.prod(dims)):
+        if amps.size != math.prod(dims):
             raise ShapeError(f"amplitude length {amps.size} != prod{dims}")
         amps.flags.writeable = False
         object.__setattr__(self, "dims", dims)
@@ -80,25 +81,44 @@ def basis_state(dims: list[int] | tuple[int, ...], digits: list[int] | tuple[int
         if not 0 <= k < d:
             raise ValueError(f"digit {k} out of range for dimension {d}")
         idx = idx * d + k
-    amps = np.zeros(int(np.prod(dims)), dtype=complex)
+    amps = np.zeros(math.prod(dims), dtype=complex)
     amps[idx] = 1.0
     return StateVector(dims, amps)
 
 
-@dataclass(frozen=True)
+def stack_states(states, dims: tuple[int, ...], count: int | None, noun: str) -> tuple[np.ndarray, tuple[StateVector, ...]]:
+    """States on `dims`, given as an (N, prod(dims)) block or a sequence of
+    StateVectors (N = count unless count is None), as one read-only block
+    plus read-only StateVector views of its rows; `noun` names a state in errors."""
+    dim = math.prod(dims)
+    if not isinstance(states, np.ndarray):
+        states = tuple(states)
+        if count is not None and len(states) != count:
+            raise ValueError(f"expected {count} {noun}s, got {len(states)}")
+        for s in states:
+            if s.dims != dims:
+                raise ValueError(f"{noun} dims {s.dims} != {dims}")
+        states = np.array([s.amps for s in states], dtype=complex).reshape(len(states), dim)
+    amps = np.asarray(states, dtype=complex)
+    if amps.ndim != 2 or amps.shape[1] != dim or count not in (None, len(amps)):
+        raise ValueError(f"{noun} block shape {amps.shape} != ({'N' if count is None else count}, {dim})")
+    amps.flags.writeable = False
+    return amps, tuple(StateVector(dims, row) for row in amps)
+
+
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace (when from a normalized state), PSD-within-tolerance matrix."""
+    """Hermitian, unit-trace (when from a normalized state), PSD-within-tolerance
+    matrix. Equality is identity; compare `mat` to compare matrices."""
 
     dim: int
     mat: np.ndarray
-    check: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=complex)
         if mat.shape != (self.dim, self.dim):
             raise ShapeError(f"matrix shape {mat.shape} != ({self.dim}, {self.dim})")
-        if self.check:
-            _check_densities(mat[None])
+        _check_densities(mat[None])
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
 
@@ -152,14 +172,8 @@ def check_size_budget(rows: int, dim: int) -> None:
         )
 
 
-def reduced_densities(amps: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
-    """Reduced density matrices on the `keep` parties of a stack of states.
-
-    amps: (N, prod(dims)) amplitudes, one state per row. Returns the
-    (N, dk, dk) marginals, dk the product of the kept dimensions, with the
-    kept parties in their relative order. The whole stack is checked at
-    once against the DensityMatrix tolerances, with the same messages.
-    """
+def _marginals(amps: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
+    """The (N, dk, dk) marginals of reduced_densities, unchecked."""
     dims = tuple(dims)
     keep = sorted(set(int(i) for i in keep))
     if not keep:
@@ -170,7 +184,18 @@ def reduced_densities(amps: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarr
     d_keep = math.prod(dims[i] for i in keep)
     psi = amps.reshape((len(amps),) + dims).transpose([0] + [i + 1 for i in keep + drop])
     psi = psi.reshape(len(amps), d_keep, math.prod(dims) // d_keep)
-    rho = psi @ psi.conj().transpose(0, 2, 1)
+    return psi @ psi.conj().transpose(0, 2, 1)
+
+
+def reduced_densities(amps: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
+    """Reduced density matrices on the `keep` parties of a stack of states.
+
+    amps: (N, prod(dims)) amplitudes, one state per row. Returns the
+    (N, dk, dk) marginals, dk the product of the kept dimensions, with the
+    kept parties in their relative order. The whole stack is checked at
+    once against the DensityMatrix tolerances, with the same messages.
+    """
+    rho = _marginals(amps, dims, keep)
     _check_densities(rho)
     return rho
 
@@ -179,10 +204,10 @@ def partial_trace(state: StateVector, keep: list[int] | tuple[int, ...] | set[in
     """Reduced density matrix on the `keep` parties, tracing out the rest.
 
     The kept parties retain their relative order. A batch of one for
-    reduced_densities, which also validates the result.
+    reduced_densities; DensityMatrix validates the result.
     """
-    rho = reduced_densities(state.amps[None], state.dims, keep)[0]
-    return DensityMatrix(len(rho), rho, check=False)
+    rho = _marginals(state.amps[None], state.dims, keep)[0]
+    return DensityMatrix(len(rho), rho)
 
 
 def max_distance_to_maximally_mixed(mats: np.ndarray) -> float:

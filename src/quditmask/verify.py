@@ -51,23 +51,25 @@ class MaskingReport:
         return all(c.passed for c in self.checks.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartyLeakage:
+    """One party's marginal and its leakage; equality is identity."""
+
     party: int
     marginal: np.ndarray
     off_diagonal_leak: float
     diagonal_leak: float
 
-    def masked(self, tol: float = MARGINAL_TOL) -> bool:
-        return self.off_diagonal_leak <= tol and self.diagonal_leak <= tol
+    def masked(self) -> bool:
+        return self.off_diagonal_leak <= MARGINAL_TOL and self.diagonal_leak <= MARGINAL_TOL
 
 
 @dataclass(frozen=True)
 class LeakageProfile:
     parties: tuple[PartyLeakage, ...]
 
-    def masked_parties(self, tol: float = MARGINAL_TOL) -> tuple[int, ...]:
-        return tuple(p.party for p in self.parties if p.masked(tol))
+    def masked_parties(self) -> tuple[int, ...]:
+        return tuple(p.party for p in self.parties if p.masked())
 
 
 @dataclass(frozen=True)

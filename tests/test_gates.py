@@ -200,3 +200,26 @@ class TestTextFormat:
     def test_bad_party_rejected(self):
         with pytest.raises(ShapeError):
             circuit_from_text("F d=2 p=9\n", (2, 2))
+
+
+class TestPermutationMatricesMatchLoops:
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_shift_and_cpow(self, d):
+        for power in range(d):
+            want = np.zeros((d, d), dtype=complex)
+            for j in range(d):
+                want[(j + power) % d, j] = 1.0
+            assert shift_gate(d, power, 0).matrix().tobytes() == want.tobytes()
+        shift = shift_gate(d, 1, 0).matrix()
+        want = np.zeros((d * d, d * d), dtype=complex)
+        for j in range(d):
+            want[j * d:(j + 1) * d, j * d:(j + 1) * d] = np.linalg.matrix_power(shift, j)
+        assert controlled_power_gate(d, 0, 1).matrix().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_relabel(self, n):
+        perm = np.random.default_rng(n).permutation(n)
+        want = np.zeros((n, n), dtype=complex)
+        for src, dst in enumerate(perm):
+            want[dst, src] = 1.0
+        assert relabel_gate(perm).matrix().tobytes() == want.tobytes()

@@ -354,3 +354,18 @@ class TestSizeBudget:
     def test_largest_size_in_use_is_admitted(self):
         scheme = build_scheme(4, 2, 20)
         assert scheme.amps.shape == (4, 2**20)
+
+
+class TestDigitEncodeIndexing:
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_bit_identical_to_per_level_loop(self, d):
+        rng = np.random.default_rng(d)
+        for w in range(2, d * d + 1):
+            amps = rng.standard_normal(w) + 1j * rng.standard_normal(w)
+            want = np.zeros(d * d, dtype=complex)
+            for k, a in enumerate(amps):
+                want[(k % d) * d + k // d] = a
+            got = digit_encode(StateVector((w,), amps), d)
+            assert got.dims == (d, d)
+            assert got.amps.tobytes() == want.tobytes()
+

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -149,3 +151,61 @@ class TestExport:
         assert doc["labels"] == [0, 1, 2, 3]
         assert len(doc["states"]) == 4
         assert doc["states"][0][0] == [pytest.approx(R2), 0.0]
+
+
+def _swapped_family(d, n, k):
+    """A GHZ basis with state k swapped for the product state of the same index."""
+    family = ghz_basis(d, n)
+    dims = (d,) * n
+    product = StateVector(dims, np.eye(d**n)[k])
+    return MebFamily(d, n, family.states[:k] + (product,) + family.states[k + 1:], family.labels)
+
+
+FAMILIES = {
+    "ghz_2_3": lambda: ghz_basis(2, 3),
+    "ghz_3_3": lambda: ghz_basis(3, 3),
+    "two_qudit_3": lambda: two_qudit_meb(3),
+    "swapped_3_3": lambda: _swapped_family(3, 3, 5),
+    "empty": lambda: MebFamily(2, 3, (), ()),
+}
+
+
+class TestFamilyBlock:
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_block_is_read_only_and_shared_by_states(self, name):
+        family = FAMILIES[name]()
+        assert family.amps.shape == (len(family.states), family.d**family.n_parties)
+        assert not family.amps.flags.writeable
+        for k, state in enumerate(family.states):
+            assert np.shares_memory(state.amps, family.amps)
+            assert state.amps.tobytes() == family.amps[k].tobytes()
+        if len(family.states):
+            with pytest.raises(ValueError):
+                family.amps[0, 0] = 1.0
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_block_and_tuple_construction_agree(self, name):
+        family = FAMILIES[name]()
+        dims = (family.d,) * family.n_parties
+        rows = np.array([s.amps for s in family.states], dtype=complex).reshape(len(family.states), family.d**family.n_parties)
+        from_block = MebFamily(family.d, family.n_parties, rows, family.labels)
+        from_tuple = MebFamily(family.d, family.n_parties, tuple(StateVector(dims, r.copy()) for r in rows), family.labels)
+        assert from_block.amps.tobytes() == from_tuple.amps.tobytes() == family.amps.tobytes()
+        assert repr(certify_meb(from_block)) == repr(certify_meb(from_tuple)) == repr(certify_meb(family))
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_json_equals_per_state_serialization(self, name):
+        family = FAMILIES[name]()
+        per_state = {
+            "d": family.d,
+            "n_parties": family.n_parties,
+            "labels": list(family.labels),
+            "states": [[[float(a.real), float(a.imag)] for a in s.amps] for s in family.states],
+        }
+        assert json.dumps(meb_to_json_dict(family), indent=2) == json.dumps(per_state, indent=2)
+
+    def test_block_shape_and_state_dims_are_validated(self):
+        with pytest.raises(ValueError, match="state block shape"):
+            MebFamily(2, 2, np.zeros((3, 8), dtype=complex), range(3))
+        with pytest.raises(ValueError, match="state dims"):
+            MebFamily(2, 2, (StateVector((4,), np.eye(4)[0]),), (0,))

@@ -8,13 +8,17 @@ from quditmask import (
     ShapeError,
     StateVector,
     basis_state,
+    build_scheme,
     density_of,
     distance_to_maximally_mixed,
+    ghz_basis,
     inner_product,
+    leakage_profile,
     partial_trace,
     tensor_product,
+    two_qudit_meb,
 )
-from quditmask.tensorcore import _check_densities, reduced_densities
+from quditmask.tensorcore import _check_densities, reduced_densities, stack_states
 from oracles import partial_trace_oracle, state_from_kets, two_qudit_meb_state_oracle
 
 BELL = StateVector((2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2))
@@ -247,3 +251,81 @@ class TestDistanceToMaximallyMixed:
             psi = StateVector((4, 4), two_qudit_meb_state_oracle(4, k))
             for party in (0, 1):
                 assert distance_to_maximally_mixed(partial_trace(psi, [party])) <= 1e-12
+
+
+class TestStackStates:
+    def test_block_gives_read_only_block_and_row_views(self):
+        block = np.eye(4, dtype=complex)[:3]
+        amps, states = stack_states(block, (2, 2), 3, "image")
+        assert amps.shape == (3, 4) and not amps.flags.writeable
+        for k, s in enumerate(states):
+            assert s.dims == (2, 2) and np.shares_memory(s.amps, amps)
+            assert s.amps.tobytes() == block[k].tobytes()
+
+    def test_sequence_is_stacked_once(self):
+        seq = [basis_state((2, 2), (k // 2, k % 2)) for k in range(4)]
+        amps, states = stack_states(iter(seq), (2, 2), None, "state")
+        assert amps.tobytes() == np.eye(4, dtype=complex).tobytes()
+        assert not any(np.shares_memory(amps, s.amps) for s in seq)
+        assert all(np.shares_memory(s.amps, amps) for s in states)
+
+    @pytest.mark.parametrize("empty", [(), np.zeros((0, 8), dtype=complex)])
+    def test_no_states(self, empty):
+        amps, states = stack_states(empty, (2, 2, 2), None, "state")
+        assert amps.shape == (0, 8) and states == ()
+
+    def test_errors_name_the_noun(self):
+        bell = (BELL, BELL)
+        with pytest.raises(ValueError, match="expected 3 states, got 2"):
+            stack_states(bell, (2, 2), 3, "state")
+        with pytest.raises(ValueError, match="state dims"):
+            stack_states(bell + (basis_state((4,), (0,)),), (2, 2), None, "state")
+        for block in [np.zeros((2, 5)), np.zeros(4), np.zeros((2, 2, 2))]:
+            with pytest.raises(ValueError, match="state block shape"):
+                stack_states(block, (2, 2), None, "state")
+        with pytest.raises(ValueError, match=r"image block shape \(2, 4\) != \(3, 4\)"):
+            stack_states(np.zeros((2, 4)), (2, 2), 3, "image")
+
+
+EQUALITY_CASES = {
+    "StateVector": lambda: StateVector((2,), [1, 0]),
+    "DensityMatrix": lambda: density_of(BELL),
+    "partial_trace": lambda: partial_trace(BELL, [0]),
+    "MaskingScheme": lambda: build_scheme(4, 2, 4),
+    "MebFamily": lambda: two_qudit_meb(2),
+    "ghz_basis": lambda: ghz_basis(2, 2),
+    "PartyLeakage": lambda: leakage_profile(BELL).parties[0],
+}
+
+
+class TestEqualityIsIdentity:
+    @pytest.mark.parametrize("name", EQUALITY_CASES)
+    def test_compare_and_hash_without_raising(self, name):
+        make = EQUALITY_CASES[name]
+        a, b = make(), make()
+        assert a == a and not (a != a)
+        assert a != b and not (a == b)
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
+
+class TestValidatedOnce:
+    def _count_checks(self, monkeypatch):
+        calls = []
+        check = lambda rho: calls.append(len(rho)) or _check_densities(rho)  # noqa: E731
+        monkeypatch.setattr("quditmask.tensorcore._check_densities", check)
+        return calls
+
+    def test_partial_trace_validates_its_marginal_once(self, monkeypatch):
+        calls = self._count_checks(monkeypatch)
+        rho = partial_trace(BELL, [1])
+        assert calls == [1] and not rho.mat.flags.writeable
+
+    def test_reduced_densities_validates_its_stack_once(self, monkeypatch):
+        calls = self._count_checks(monkeypatch)
+        reduced_densities(np.eye(8, dtype=complex), (2, 2, 2), [0])
+        assert calls == [8]
+
+    def test_density_matrix_has_no_check_knob(self):
+        with pytest.raises(TypeError):
+            DensityMatrix(2, np.eye(2) / 2, check=False)

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,10 @@ from quditmask import (
     mask,
     verify_scheme,
 )
+from quditmask.tensorcore import MARGINAL_TOL
 from quditmask.verify import (
+    LeakageProfile,
+    PartyLeakage,
     bounds_report_to_json_dict,
     leakage_profile_to_json_dict,
     masking_report_to_json_dict,
@@ -194,3 +199,17 @@ class TestJsonDocuments:
         )
         assert len(doc["parties"]) == 4
         assert all(p["masked"] for p in doc["parties"])
+
+
+class TestMaskedUsesMarginalTolerance:
+    def test_threshold_is_the_marginal_tolerance(self):
+        mixed = np.eye(2, dtype=complex) / 2
+        assert PartyLeakage(0, mixed, 0.0, MARGINAL_TOL).masked()
+        assert not PartyLeakage(0, mixed, 0.0, 1.01 * MARGINAL_TOL).masked()
+        assert not PartyLeakage(0, mixed, 1.01 * MARGINAL_TOL, 0.0).masked()
+        profile = LeakageProfile((PartyLeakage(0, mixed, 0.0, 0.0), PartyLeakage(1, mixed, 0.5, 0.0)))
+        assert profile.masked_parties() == (0,)
+
+    def test_no_tolerance_parameter(self):
+        assert list(inspect.signature(PartyLeakage.masked).parameters) == ["self"]
+        assert list(inspect.signature(LeakageProfile.masked_parties).parameters) == ["self"]
