@@ -5,6 +5,7 @@ parties."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,14 @@ class MaskingScheme:
     def gram_deviation(self) -> float:
         return gram_deviation(self.amps)
 
+    @cached_property
+    def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(image, amplitude index, value) of each nonzero image entry, in
+        row-major order; derived from the read-only `amps` on first use."""
+        idx = np.flatnonzero(self.amps != 0)  # a NaN entry is in the support
+        rows, cols = np.divmod(idx, self.amps.shape[1])
+        return rows, cols, self.amps.reshape(-1)[idx]
+
 
 def masking_capacity(d: int, m: int) -> int:
     """Largest maskable level count for an m-party register of qudits: d^floor(m/2)."""
@@ -75,7 +84,8 @@ def build_scheme(w: int, d: int, m: int, provenance: str | None = None) -> Maski
         left = ghz_amplitudes(d, m // 2, np.arange(w))
         right = ghz_amplitudes(d, (m + 1) // 2, np.arange(w))
     # Row-wise kron: each entry is one product, as in np.kron of the rows.
-    images = (left[:, :, None] * right[:, None, :]).reshape(w, d**m)
+    images = np.empty((w, d**m), dtype=complex)
+    np.multiply(left[:, :, None], right[:, None, :], out=images.reshape(w, left.shape[1], right.shape[1]))
     if provenance is None:
         provenance = {
             (4, 2, 4): "example1",
@@ -99,10 +109,12 @@ def mask(scheme: MaskingScheme, state: StateVector) -> StateVector:
     if state.dims != (scheme.w,):
         raise ShapeError(f"input must be a single party of dimension {scheme.w}, got dims {state.dims}")
     out = np.zeros(scheme.d ** scheme.m, dtype=complex)
-    # One axpy per image, in image order: a single GEMV sums in another
-    # order and changes the last bits of the output.
-    for a, image in zip(state.amps, scheme.amps):
-        out += a * image
+    # Sum over the images' support only (d^2 entries per built image). add.at
+    # accumulates unbuffered in index order, and the support is row-major, so
+    # each amplitude gets its terms in image order, as one axpy per image
+    # would; the skipped terms a*0 are +-0 and never change a sum from +0.
+    rows, cols, vals = scheme._support
+    np.add.at(out, cols, state.amps[rows] * vals)
     return StateVector((scheme.d,) * scheme.m, out)
 
 

@@ -89,19 +89,26 @@ def basis_state(dims: list[int] | tuple[int, ...], digits: list[int] | tuple[int
 def stack_states(states, dims: tuple[int, ...], count: int | None, noun: str) -> tuple[np.ndarray, tuple[StateVector, ...]]:
     """States on `dims`, given as an (N, prod(dims)) block or a sequence of
     StateVectors (N = count unless count is None), as one read-only block
-    plus read-only StateVector views of its rows; `noun` names a state in errors."""
+    plus read-only StateVector views of its rows; `noun` names a state in errors.
+    A block that does not own its data is copied; an owned block is kept
+    and made read-only in place."""
     dim = math.prod(dims)
     if not isinstance(states, np.ndarray):
         states = tuple(states)
         if count is not None and len(states) != count:
             raise ValueError(f"expected {count} {noun}s, got {len(states)}")
-        for s in states:
+        block = np.empty((len(states), dim), dtype=complex)
+        for row, s in zip(block, states):
             if s.dims != dims:
                 raise ValueError(f"{noun} dims {s.dims} != {dims}")
-        states = np.array([s.amps for s in states], dtype=complex).reshape(len(states), dim)
+            row[:] = s.amps
+        states = block
     amps = np.asarray(states, dtype=complex)
     if amps.ndim != 2 or amps.shape[1] != dim or count not in (None, len(amps)):
         raise ValueError(f"{noun} block shape {amps.shape} != ({'N' if count is None else count}, {dim})")
+    if not amps.flags.owndata:
+        # A view would let whoever holds its base rewrite the block.
+        amps = amps.copy()
     amps.flags.writeable = False
     return amps, tuple(StateVector(dims, row) for row in amps)
 

@@ -20,12 +20,14 @@ from quditmask import (
     ghz_basis,
     haar_random_state,
     inner_product,
+    leakage_profile,
     mask,
     masking_capacity,
     min_parties,
     qubit4_circuit,
     qudit4_circuit,
     scheme_to_json_dict,
+    two_qudit_meb,
 )
 from oracles import (
     min_parties_oracle,
@@ -369,3 +371,122 @@ class TestDigitEncodeIndexing:
             assert got.dims == (d, d)
             assert got.amps.tobytes() == want.tobytes()
 
+
+
+def axpy_mask(scheme, state):
+    """The reference column map: one axpy per image, in image order."""
+    out = np.zeros(scheme.d ** scheme.m, dtype=complex)
+    for a, image in zip(state.amps, scheme.amps):
+        out += a * image
+    return out
+
+
+def tilted_scheme(w, d, m):
+    """Image 0 leans by 1e-6 toward |0...0>, renormalised."""
+    scheme = build_scheme(w, d, m)
+    amps = scheme.images[0].amps.copy()
+    amps[0] += 1e-6
+    images = (StateVector(scheme.images[0].dims, amps / np.linalg.norm(amps)),) + scheme.images[1:]
+    return MaskingScheme(w, d, m, images, "tilted")
+
+
+def product_scheme(w, d, m, rng):
+    """An isometry made of w distinct computational basis states."""
+    dims = (d,) * m
+    images = tuple(
+        basis_state(dims, [int(x) for x in np.unravel_index(idx, dims)])
+        for idx in sorted(rng.choice(d**m, size=w, replace=False))
+    )
+    return MaskingScheme(w, d, m, images, "product")
+
+
+class TestSupportMask:
+    def assert_matches_axpy(self, scheme, inputs):
+        for state in inputs:
+            assert mask(scheme, state).amps.tobytes() == axpy_mask(scheme, state).tobytes()
+
+    @pytest.mark.parametrize("w,d,m", [(9, 3, 4), (16, 2, 8), (64, 2, 12), (81, 3, 8), (125, 5, 6), (4, 2, 16)])
+    def test_bit_identical_to_axpy_loop(self, w, d, m):
+        scheme = build_scheme(w, d, m)
+        rng = np.random.default_rng(w * d * m)
+        basis = [basis_state((w,), (k,)) for k in range(w)]
+        self.assert_matches_axpy(scheme, basis + [haar_random_state(w, rng) for _ in range(4)])
+
+    def test_bit_identical_on_custom_schemes(self):
+        rng = np.random.default_rng(7)
+        for scheme in (tilted_scheme(81, 3, 8), tilted_scheme(9, 3, 4), product_scheme(9, 3, 4, rng)):
+            w = scheme.w
+            basis = [basis_state((w,), (k,)) for k in range(w)]
+            self.assert_matches_axpy(scheme, basis + [haar_random_state(w, rng) for _ in range(4)])
+
+    def test_bit_identical_on_signed_zeros_and_cancellations(self):
+        scheme = example1_scheme()
+        inputs = [
+            StateVector((4,), np.array([1, -1, 0, -0.0]) * R2),
+            StateVector((4,), np.array([1, 1, -0.0, 0]) * R2),
+            StateVector((4,), np.array([1j, -1j, complex(-0.0, 0.0), complex(0.0, -0.0)]) * R2),
+            StateVector((4,), np.array([-0.0, -0.0, -0.0, -1.0])),
+        ]
+        self.assert_matches_axpy(scheme, inputs)
+        # An exact cancellation gives +0, as the loop does, never -0.
+        out = mask(scheme, inputs[0]).amps
+        assert not np.signbit(out.real[out.real == 0]).any()
+        assert not np.signbit(out.imag[out.imag == 0]).any()
+
+    def test_support_is_computed_once_per_scheme(self):
+        scheme = build_scheme(16, 2, 8)
+        assert "_support" not in vars(scheme)
+        mask(scheme, basis_state((16,), (0,)))
+        first = scheme._support
+        mask(scheme, basis_state((16,), (1,)))
+        assert scheme._support is first
+        assert len(first[0]) == 16 * 2**2  # d^2 nonzeros per image
+        assert "_support" not in repr(scheme)
+        assert set(scheme_to_json_dict(scheme)) == {"w", "d", "m", "provenance", "images"}
+
+    def test_nan_image_entry_is_in_the_support(self):
+        base = example1_scheme()
+        amps = base.amps.copy()
+        (zero,) = np.flatnonzero(amps[1] == 0)[:1]
+        amps[1, zero] = np.nan
+        scheme = MaskingScheme(4, 2, 4, amps)
+        rows, cols, _ = scheme._support
+        assert (1, zero) in set(zip(rows.tolist(), cols.tolist()))
+        out = mask(scheme, basis_state((4,), (1,))).amps
+        assert np.isnan(out[zero])
+
+    def test_nan_input_reaches_only_its_images_support_and_masks_no_party(self):
+        scheme = build_scheme(9, 3, 4)
+        amps = haar_random_state(9, np.random.default_rng(3)).amps.copy()
+        amps[4] = np.nan
+        out = mask(scheme, StateVector((9,), amps)).amps
+        assert np.array_equal(np.isnan(out), scheme.amps[4] != 0)
+        assert leakage_profile(StateVector((3,) * 4, out)).masked_parties() == ()
+
+
+class TestOwnedImageBlock:
+    def test_scheme_does_not_alias_a_view(self):
+        b = example1_scheme().amps.copy()
+        scheme = MaskingScheme(4, 2, 4, b[:])
+        e0 = basis_state((4,), (0,))
+        amps, masked = scheme.amps.tobytes(), mask(scheme, e0).amps.tobytes()
+        b[0, 0] = 5
+        assert scheme.amps.tobytes() == amps
+        assert scheme.images[0].amps.tobytes() == amps[: 16 * 16]
+        assert mask(scheme, e0).amps.tobytes() == masked
+
+    def test_blocks_own_their_data(self):
+        assert build_scheme(8, 2, 6).amps.flags.owndata
+        assert build_scheme(9, 3, 4).amps.flags.owndata
+        assert MaskingScheme(4, 2, 4, example1_scheme().images).amps.flags.owndata
+        assert MaskingScheme(4, 2, 4, example1_scheme().amps[:]).amps.flags.owndata
+
+    @pytest.mark.parametrize("w,d,m", [(4, 2, 4), (9, 3, 4), (4, 2, 5), (27, 3, 7)])
+    def test_build_matches_kron_for_m4_and_odd_m(self, w, d, m):
+        images = build_scheme(w, d, m).images
+        left = ghz_basis(d, m // 2).states
+        right = ghz_basis(d, (m + 1) // 2).states
+        if m == 4:
+            left = right = two_qudit_meb(d).states
+        for k, image in enumerate(images):
+            assert image.amps.tobytes() == np.kron(left[k].amps, right[k].amps).tobytes()
