@@ -1,9 +1,11 @@
-"""Masking capacity versus the quantum Singleton bound.
+"""The constructions' capacity versus the quantum Singleton bound.
 
 For m parties of dimension d the constructions mask up to d^floor(m/2)
-levels; an ((m, w, 2))_d error-correcting code allows up to d^(m-2). The
-masking bound is the tighter of the two for every m > 4 and matches it at
-m = 4.
+levels. That is a property of the constructions, not a limit on masking:
+images that mask every party span an ((m, w, 2))_d code, so any masking
+scheme holds at most d^(m-2) levels, and the [[m, m-2, 2]] qubit codes
+reach that for even m. The two agree at m = 4; beyond it the constructions
+hold fewer levels than the Singleton bound allows.
 """
 
 from quditmask import bounds_report, min_parties

@@ -11,11 +11,13 @@ import numpy as np
 
 from .gates import Circuit, apply, append_ancilla, controlled_power_gate, fourier_gate
 from .meb import ghz_amplitudes, two_qudit_labels
-from .tensorcore import ShapeError, StateVector, check_size_budget, complex_pairs, gram_deviation, stack_states
+from .tensorcore import FreshBlock, ShapeError, StateVector, check_size_budget, complex_pairs, gram_deviation, stack_states
 
 
 class BoundViolationError(ValueError):
-    """Requested input level count exceeds the masking capacity d^floor(m/2)."""
+    """Requested input level count exceeds a masking bound: d^floor(m/2) for
+    build_scheme's construction, the quantum Singleton bound d^(m-2) for any
+    MaskingScheme."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,9 +38,12 @@ class MaskingScheme:
 
     def __post_init__(self):
         amps, images = stack_states(self.images, (self.d,) * self.m, self.w, "image")
-        if self.w > self.d ** (self.m // 2):
+        # Images that mask every single party span a distance-2 code, so w
+        # is bounded by the quantum Singleton bound, not by the capacity of
+        # build_scheme's construction.
+        if self.w > self.d ** (self.m - 2):
             raise BoundViolationError(
-                f"w={self.w} exceeds the masking capacity d^floor(m/2) = {self.d ** (self.m // 2)}"
+                f"w={self.w} exceeds the quantum Singleton bound d^(m-2) = {self.d ** (self.m - 2)}"
             )
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "images", images)
@@ -56,7 +61,8 @@ class MaskingScheme:
 
 
 def masking_capacity(d: int, m: int) -> int:
-    """Largest maskable level count for an m-party register of qudits: d^floor(m/2)."""
+    """Largest level count build_scheme's construction masks into m qudits:
+    d^floor(m/2). Other schemes can mask more, up to d^(m-2)."""
     return d ** (m // 2)
 
 
@@ -91,7 +97,7 @@ def build_scheme(w: int, d: int, m: int, provenance: str | None = None) -> Maski
             (4, 2, 4): "example1",
             (8, 2, 6): "example2",
         }.get((w, d, m), "theorem1" if m == 4 and w == d * d else "theorem2")
-    return MaskingScheme(w, d, m, images, provenance)
+    return MaskingScheme(w, d, m, FreshBlock(images), provenance)
 
 
 def example1_scheme() -> MaskingScheme:

@@ -10,6 +10,7 @@ import numpy as np
 from .tensorcore import (
     GRAM_TOL,
     MEB_MARGINAL_TOL,
+    FreshBlock,
     StateVector,
     check_size_budget,
     complex_pairs,
@@ -84,7 +85,7 @@ def two_qudit_meb(d: int) -> MebFamily:
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    return MebFamily(d, 2, ghz_amplitudes(d, 2, two_qudit_labels(d, d * d)), range(d * d))
+    return MebFamily(d, 2, FreshBlock(ghz_amplitudes(d, 2, two_qudit_labels(d, d * d))), range(d * d))
 
 
 def ghz_basis(d: int, n_parties: int) -> MebFamily:
@@ -97,7 +98,8 @@ def ghz_basis(d: int, n_parties: int) -> MebFamily:
     """
     if d < 2 or n_parties < 2:
         raise ValueError("need d >= 2 and n_parties >= 2")
-    return MebFamily(d, n_parties, ghz_amplitudes(d, n_parties, range(d**n_parties)), range(d**n_parties))
+    block = FreshBlock(ghz_amplitudes(d, n_parties, range(d**n_parties)))
+    return MebFamily(d, n_parties, block, range(d**n_parties))
 
 
 def certify_meb(family: MebFamily) -> MebCertification:

@@ -86,29 +86,36 @@ def basis_state(dims: list[int] | tuple[int, ...], digits: list[int] | tuple[int
     return StateVector(dims, amps)
 
 
+@dataclass(frozen=True)
+class FreshBlock:
+    """A complex (N, dim) block the package has just allocated and holds no
+    other reference to; stack_states keeps it without a copy."""
+
+    block: np.ndarray
+
+
 def stack_states(states, dims: tuple[int, ...], count: int | None, noun: str) -> tuple[np.ndarray, tuple[StateVector, ...]]:
     """States on `dims`, given as an (N, prod(dims)) block or a sequence of
     StateVectors (N = count unless count is None), as one read-only block
     plus read-only StateVector views of its rows; `noun` names a state in errors.
-    A block that does not own its data is copied; an owned block is kept
-    and made read-only in place."""
+    A caller's block is copied, so no view of it made before or after can
+    rewrite the states; only a FreshBlock is kept as it is."""
     dim = math.prod(dims)
-    if not isinstance(states, np.ndarray):
+    if isinstance(states, FreshBlock):
+        amps = states.block
+    elif isinstance(states, np.ndarray):
+        amps = np.array(states, dtype=complex)
+    else:
         states = tuple(states)
         if count is not None and len(states) != count:
             raise ValueError(f"expected {count} {noun}s, got {len(states)}")
-        block = np.empty((len(states), dim), dtype=complex)
-        for row, s in zip(block, states):
+        amps = np.empty((len(states), dim), dtype=complex)
+        for row, s in zip(amps, states):
             if s.dims != dims:
                 raise ValueError(f"{noun} dims {s.dims} != {dims}")
             row[:] = s.amps
-        states = block
-    amps = np.asarray(states, dtype=complex)
     if amps.ndim != 2 or amps.shape[1] != dim or count not in (None, len(amps)):
         raise ValueError(f"{noun} block shape {amps.shape} != ({'N' if count is None else count}, {dim})")
-    if not amps.flags.owndata:
-        # A view would let whoever holds its base rewrite the block.
-        amps = amps.copy()
     amps.flags.writeable = False
     return amps, tuple(StateVector(dims, row) for row in amps)
 
@@ -156,15 +163,17 @@ def density_of(state: StateVector) -> DensityMatrix:
 def _check_densities(rho: np.ndarray) -> None:
     """Raise ValueError unless every matrix of the (N, k, k) stack is
     Hermitian and positive semidefinite within tolerance."""
+    # ndarray-method reductions: the np.max/np.min wrappers cost more than
+    # the reductions themselves on these small stacks.
     rho_h = rho.conj().transpose(0, 2, 1)
-    if np.max(np.abs(rho - rho_h), initial=0.0) > HERMITICITY_TOL:
+    if np.abs(rho - rho_h).max(initial=0.0) > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     herm = (rho + rho_h) / 2
     if not np.isfinite(herm).all():
         # LAPACK fails on a non-finite matrix, so those are left out; their
         # NaN entries fail every deviation check downstream.
         herm = herm[np.isfinite(herm).all(axis=(1, 2))]
-    if np.min(np.linalg.eigvalsh(herm), initial=0.0) < -PSD_TOL:
+    if np.linalg.eigvalsh(herm).min(initial=0.0) < -PSD_TOL:
         raise ValueError("matrix is not positive semidefinite within tolerance")
 
 
@@ -182,7 +191,7 @@ def check_size_budget(rows: int, dim: int) -> None:
 def _marginals(amps: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
     """The (N, dk, dk) marginals of reduced_densities, unchecked."""
     dims = tuple(dims)
-    keep = sorted(set(int(i) for i in keep))
+    keep = sorted(set(map(int, keep)))
     if not keep:
         raise ValueError("keep-set must be non-empty")
     if keep[0] < 0 or keep[-1] >= len(dims):
@@ -224,7 +233,7 @@ def max_distance_to_maximally_mixed(mats: np.ndarray) -> float:
     diff = mats.copy()
     # The diagonal only, through a flat view: cheaper than building I/d.
     diff.reshape(diff.shape[:-2] + (d * d,))[..., :: d + 1] -= 1 / d
-    return float(np.max(np.abs(diff), initial=0.0))
+    return float(np.abs(diff).max(initial=0.0))
 
 
 def distance_to_maximally_mixed(rho: DensityMatrix) -> float:

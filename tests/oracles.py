@@ -119,3 +119,27 @@ def min_parties_oracle(w: int, d: int) -> int:
     while d ** t < w:
         t += 1
     return 2 * t
+
+
+def even_parity_code_images(m: int) -> np.ndarray:
+    """The [[m, m-2, 2]] qubit code for even m, stabilised by X^(x m) and
+    Z^(x m): one image (|x> + |~x>)/sqrt 2 per even-parity m-bit string x
+    with leading bit 0, in increasing order of x."""
+    rows = []
+    for bits in itertools.product((0, 1), repeat=m):
+        if bits[0] == 0 and sum(bits) % 2 == 0:
+            row = np.zeros(2 ** m, dtype=complex)
+            row[ket_index(bits, (2,) * m)] = 1 / np.sqrt(2)
+            row[ket_index(tuple(1 - b for b in bits), (2,) * m)] = 1 / np.sqrt(2)
+            rows.append(row)
+    return np.array(rows)
+
+
+def qutrit_secret_sharing_images() -> np.ndarray:
+    """The ((3,3,2))_3 code of Cleve, Gottesman and Lo: |k> -> the uniform
+    superposition of |j, j+k, j+2k> (mod 3) over j."""
+    rows = np.zeros((3, 27), dtype=complex)
+    for k in range(3):
+        for j in range(3):
+            rows[k, ket_index((j, (j + k) % 3, (j + 2 * k) % 3), (3, 3, 3))] = 1 / np.sqrt(3)
+    return rows

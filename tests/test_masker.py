@@ -30,6 +30,7 @@ from quditmask import (
     two_qudit_meb,
 )
 from oracles import (
+    even_parity_code_images,
     min_parties_oracle,
     qudit_circuit_final_state_oracle,
     state_from_kets,
@@ -490,3 +491,49 @@ class TestOwnedImageBlock:
             left = right = two_qudit_meb(d).states
         for k, image in enumerate(images):
             assert image.amps.tobytes() == np.kron(left[k].amps, right[k].amps).tobytes()
+
+
+class TestCallerBlockIsCopied:
+    def test_view_made_before_construction_cannot_stale_the_support(self):
+        b = example1_scheme().amps.copy()
+        v = b[:]
+        scheme = MaskingScheme(4, 2, 4, b)
+        e0 = basis_state((4,), (0,))
+        amps, before = scheme.amps.tobytes(), mask(scheme, e0).amps.tobytes()
+        v[0, 0] = 5
+        assert scheme.amps.tobytes() == amps
+        assert mask(scheme, e0).amps.tobytes() == before
+        assert mask(scheme, e0).amps.tobytes() == scheme.amps[0].tobytes()
+
+    def test_caller_keeps_a_writeable_block(self):
+        b = example1_scheme().amps.copy()
+        scheme = MaskingScheme(4, 2, 4, b)
+        assert b.flags.writeable and not np.shares_memory(b, scheme.amps)
+        assert scheme.amps.flags.owndata and not scheme.amps.flags.writeable
+
+    def test_built_blocks_are_not_copied_again(self):
+        # Peak traced memory of build_scheme stays near its one image block
+        # (plus the two half-register factors), with no second copy of it.
+        tracemalloc.start()
+        try:
+            scheme = build_scheme(4, 2, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * scheme.amps.nbytes
+
+
+class TestMaskingInvariantIsSingleton:
+    def test_six_qubit_code_holds_sixteen_levels(self):
+        # [[6,4,2]]: w = 16 = 2^(6-2), twice the construction's capacity.
+        scheme = MaskingScheme(16, 2, 6, even_parity_code_images(6), "code")
+        assert scheme.w > masking_capacity(2, 6)
+
+    @pytest.mark.parametrize("w,d,m", [(17, 2, 6), (5, 2, 4), (10, 3, 4), (28, 3, 5)])
+    def test_above_singleton_bound_rejected(self, w, d, m):
+        with pytest.raises(BoundViolationError, match=r"Singleton bound d\^\(m-2\)"):
+            MaskingScheme(w, d, m, np.eye(d**m, dtype=complex)[:w])
+
+    def test_construction_keeps_its_capacity(self):
+        with pytest.raises(BoundViolationError, match=r"d\^floor\(m/2\) = 8"):
+            build_scheme(16, 2, 6)

@@ -18,7 +18,12 @@ from quditmask import (
     tensor_product,
     two_qudit_meb,
 )
-from quditmask.tensorcore import _check_densities, reduced_densities, stack_states
+from quditmask.tensorcore import (
+    _check_densities,
+    max_distance_to_maximally_mixed,
+    reduced_densities,
+    stack_states,
+)
 from oracles import partial_trace_oracle, state_from_kets, two_qudit_meb_state_oracle
 
 BELL = StateVector((2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2))
@@ -329,3 +334,49 @@ class TestValidatedOnce:
     def test_density_matrix_has_no_check_knob(self):
         with pytest.raises(TypeError):
             DensityMatrix(2, np.eye(2) / 2, check=False)
+
+
+class TestCheckDensitiesContract:
+    GOOD = np.eye(3, dtype=complex) / 3
+
+    def test_messages_and_order(self):
+        skew = self.GOOD.copy()
+        skew[0, 1] = 1e-11
+        negative = np.diag([1.0, 0.5, -0.5]).astype(complex)
+        with pytest.raises(ValueError, match="^matrix is not Hermitian within tolerance$"):
+            _check_densities(np.array([self.GOOD, skew, negative]))
+        with pytest.raises(ValueError, match="^matrix is not positive semidefinite within tolerance$"):
+            _check_densities(np.array([self.GOOD, negative]))
+
+    def test_tolerances_are_inclusive(self):
+        edge = self.GOOD.copy()
+        edge[0, 1] = 1e-12
+        _check_densities(edge[None])
+        _check_densities(np.diag([1.0, 1e-10, -1e-10]).astype(complex)[None])
+
+    def test_nan_matrix_is_skipped_not_raised(self):
+        nan = self.GOOD.copy()
+        nan[0, 0] = np.nan
+        _check_densities(np.array([nan, self.GOOD]))
+        _check_densities(np.array([nan, nan]))
+        negative = np.diag([1.0, 0.5, -0.5]).astype(complex)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            _check_densities(np.array([nan, negative]))
+
+    def test_empty_stack_passes(self):
+        assert _check_densities(np.zeros((0, 3, 3), dtype=complex)) is None
+
+
+class TestMaxDistanceToMaximallyMixed:
+    def test_empty_stack_is_zero_and_nan_is_kept(self):
+        assert max_distance_to_maximally_mixed(np.zeros((0, 2, 2), dtype=complex)) == 0.0
+        mats = np.array([np.eye(2) / 2, [[np.nan, 0], [0, 0.5]]], dtype=complex)
+        assert np.isnan(max_distance_to_maximally_mixed(mats))
+
+    def test_equals_subtracting_identity_over_d(self):
+        rng = np.random.default_rng(5)
+        for d in (2, 3, 5):
+            mats = rng.standard_normal((4, 3, d, d)) + 1j * rng.standard_normal((4, 3, d, d))
+            expected = float(np.max(np.abs(mats - np.eye(d) / d)))
+            assert max_distance_to_maximally_mixed(mats) == expected
+            assert max_distance_to_maximally_mixed(mats[:, 1]) == float(np.max(np.abs(mats[:, 1] - np.eye(d) / d)))

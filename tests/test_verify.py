@@ -15,15 +15,17 @@ from quditmask import (
     mask,
     verify_scheme,
 )
-from quditmask.tensorcore import MARGINAL_TOL
+from quditmask.tensorcore import GRAM_TOL, MARGINAL_TOL, VARIATION_TOL, partial_trace
 from quditmask.verify import (
+    CheckResult,
     LeakageProfile,
+    MaskingReport,
     PartyLeakage,
     bounds_report_to_json_dict,
     leakage_profile_to_json_dict,
     masking_report_to_json_dict,
 )
-from oracles import min_parties_oracle, state_from_kets
+from oracles import even_parity_code_images, min_parties_oracle, qutrit_secret_sharing_images, state_from_kets
 
 Q4 = (2, 2, 2, 2)
 
@@ -213,3 +215,100 @@ class TestMaskedUsesMarginalTolerance:
     def test_no_tolerance_parameter(self):
         assert list(inspect.signature(PartyLeakage.masked).parameters) == ["self"]
         assert list(inspect.signature(LeakageProfile.masked_parties).parameters) == ["self"]
+
+
+def verify_scheme_per_marginal(scheme, n_samples, seed):
+    """verify_scheme with each marginal reduced on its own, as it was before
+    the marginal table: the reference its report must equal exactly."""
+    rng = np.random.default_rng(seed)
+    inputs = [basis_state((scheme.w,), (k,)) for k in range(scheme.w)]
+    inputs += [haar_random_state(scheme.w, rng) for _ in range(n_samples)]
+    deviation = np.zeros((len(inputs), scheme.m))
+    variation = np.zeros((len(inputs), scheme.m))
+    reference = [None] * scheme.m
+    for i, state in enumerate(inputs):
+        masked = mask(scheme, state)
+        for party in range(scheme.m):
+            rho = partial_trace(masked, [party])
+            if i == 0:
+                reference[party] = rho.mat
+            deviation[i, party] = np.max(np.abs(rho.mat - np.eye(scheme.d) / scheme.d))
+            variation[i, party] = np.max(np.abs(rho.mat - reference[party]))
+    gram_dev = scheme.gram_deviation()
+    return MaskingReport(
+        w=scheme.w,
+        d=scheme.d,
+        m=scheme.m,
+        n_samples=n_samples,
+        seed=seed,
+        per_party_max_deviation=tuple(deviation.max(axis=0).tolist()),
+        cross_input_max_variation=tuple(variation.max(axis=0).tolist()),
+        isometry_gram_deviation=gram_dev,
+        checks={
+            "marginals_maximally_mixed": CheckResult(float(deviation.max()), MARGINAL_TOL),
+            "marginals_input_independent": CheckResult(float(variation.max()), VARIATION_TOL),
+            "isometry_gram": CheckResult(gram_dev, GRAM_TOL),
+        },
+    )
+
+
+def tilted(scheme):
+    """The scheme with image 0 leaned by 1e-6 toward |0...0>, renormalised."""
+    amps = scheme.images[0].amps.copy()
+    amps[0] += 1e-6
+    images = (StateVector(scheme.images[0].dims, amps / np.linalg.norm(amps)),) + scheme.images[1:]
+    return MaskingScheme(scheme.w, scheme.d, scheme.m, images, "tilted")
+
+
+def product(w, d, m, rng):
+    """w distinct computational basis states of m qudits."""
+    dims = (d,) * m
+    picks = sorted(rng.choice(d**m, size=w, replace=False))
+    return MaskingScheme(w, d, m, tuple(basis_state(dims, np.unravel_index(i, dims)) for i in picks), "product")
+
+
+def nan_image(scheme):
+    amps = scheme.amps.copy()
+    amps[0, 0] = np.nan
+    return MaskingScheme(scheme.w, scheme.d, scheme.m, amps)
+
+
+class TestMarginalTableMatchesPerMarginalReduction:
+    @pytest.mark.parametrize(
+        "w,d,m,n", [(9, 3, 4, 50), (16, 2, 8, 50), (64, 2, 12, 20), (81, 3, 8, 20), (125, 5, 6, 10)]
+    )
+    def test_built_schemes(self, w, d, m, n):
+        scheme = build_scheme(w, d, m)
+        for seed in (0, 1):
+            assert repr(verify_scheme(scheme, n, seed)) == repr(verify_scheme_per_marginal(scheme, n, seed))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: tilted(build_scheme(81, 3, 8)),
+            lambda: product(9, 3, 4, np.random.default_rng(0)),
+            lambda: nan_image(build_scheme(9, 3, 4)),
+            lambda: nan_image(build_scheme(4, 2, 4)),
+        ],
+        ids=["tilted-81-3-8", "product-9-3-4", "nan-9-3-4", "nan-4-2-4"],
+    )
+    def test_failing_schemes(self, make):
+        scheme = make()
+        report = verify_scheme(scheme, 10, 2)
+        assert not report.passed
+        assert repr(report) == repr(verify_scheme_per_marginal(scheme, 10, 2))
+
+
+class TestSingletonCodesMask:
+    """Schemes outside the paper's construction: w up to d^(m-2) masks."""
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_even_parity_qubit_codes(self, m):
+        images = even_parity_code_images(m)
+        assert len(images) == 2 ** (m - 2)
+        report = verify_scheme(MaskingScheme(len(images), 2, m, images, "code"), n_samples=20, seed=0)
+        assert report.passed
+
+    def test_qutrit_secret_sharing_code_masks_into_three_parties(self):
+        report = verify_scheme(MaskingScheme(3, 3, 3, qutrit_secret_sharing_images()), n_samples=20, seed=0)
+        assert report.passed
