@@ -50,8 +50,11 @@ def _emit(payload: str, output: str | None):
         base = os.environ.get(OUTPUT_DIR_ENV)
         if base:
             output = os.path.join(base, output)
-    with open(output, "w") as fh:
-        fh.write(payload)
+    try:
+        with open(output, "w") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise UsageError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
 def _dump_json(doc: dict) -> str:
@@ -96,7 +99,7 @@ def _read_amplitudes(args, w: int) -> StateVector:
     return StateVector((w,), amps)
 
 
-def _cmd_build(args) -> int:
+def _cmd_build(args) -> tuple[str, int]:
     scheme = masker.build_scheme(args.w, args.d, args.m)
     if args.format == "json":
         payload = _dump_json(masker.scheme_to_json_dict(scheme))
@@ -104,11 +107,10 @@ def _cmd_build(args) -> int:
         lines = [f"masking scheme {scheme.provenance}: w={scheme.w} d={scheme.d} m={scheme.m}"]
         lines.append(f"gram deviation: {scheme.gram_deviation():.3e}")
         payload = "\n".join(lines) + "\n"
-    _emit(payload, args.output)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def _cmd_mask(args) -> int:
+def _cmd_mask(args) -> tuple[str, int]:
     scheme = masker.build_scheme(args.w, args.d, args.m)
     state = _read_amplitudes(args, args.w)
     masked = masker.mask(scheme, state)
@@ -127,11 +129,10 @@ def _cmd_mask(args) -> int:
         for p, rho in enumerate(marginals):
             lines.append(f"party {p}: max deviation from I/d = {max_distance_to_maximally_mixed(rho):.3e}")
         payload = "\n".join(lines) + "\n"
-    _emit(payload, args.output)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def _cmd_circuit(args) -> int:
+def _cmd_circuit(args) -> tuple[str, int]:
     circuit = masker.qudit4_circuit(args.d)
     if args.apply is not None:
         try:
@@ -148,11 +149,10 @@ def _cmd_circuit(args) -> int:
         )
     else:
         payload = gates.circuit_to_text(circuit)
-    _emit(payload, args.output)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     scheme = masker.build_scheme(args.w, args.d, args.m)
     report = verify.verify_scheme(scheme, n_samples=args.samples, seed=args.seed)
     if args.format == "json":
@@ -164,11 +164,10 @@ def _cmd_verify(args) -> int:
             lines.append(f"{name}: {check.value:.3e} <= {check.threshold:.0e} [{status}]")
         lines.append("verdict: " + ("pass" if report.passed else "FAIL"))
         payload = "\n".join(lines) + "\n"
-    _emit(payload, args.output)
-    return EXIT_OK if report.passed else EXIT_MASKING_FAILURE
+    return payload, EXIT_OK if report.passed else EXIT_MASKING_FAILURE
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple[str, int]:
     report = verify.bounds_report(args.d, args.m, args.w or ())
     if args.format == "json":
         payload = _dump_json(verify.bounds_report_to_json_dict(report))
@@ -183,8 +182,7 @@ def _cmd_bounds(args) -> int:
             note = "  (constructions require m >= 4)" if flag else ""
             lines.append(f"w={w}: min parties {p}{note}")
         payload = "\n".join(lines) + "\n"
-    _emit(payload, args.output)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,7 +235,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
+        _emit(payload, args.output)
+        return code
     except BoundViolationError as exc:
         print(f"quditmask: bound violation: {exc}", file=sys.stderr)
         return EXIT_BOUND_VIOLATION

@@ -1,9 +1,11 @@
 """Qudit gate constructors and circuit application.
 
-Gates are applied by index arithmetic on the amplitude tensor (rolls and
-small per-axis contractions); full register matrices are never
-materialized. `Gate.matrix()` returns the dense local realization for
-inspection and testing.
+One path applies every gate, and full register matrices are never
+materialized: a transpose puts the gate's parties first (a relabel gate
+takes the whole register); Fourier contracts its matrix over them, and
+every other kind writes row k, through the same transpose of one
+register-order output block, to perm[k] of its basis permutation.
+`Gate.matrix()` builds the dense local form from that permutation.
 """
 
 from __future__ import annotations
@@ -46,18 +48,22 @@ class Gate:
             j = np.arange(d)
             return np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
         # The other kinds permute basis states: column k has its 1 in row perm[k].
-        if self.kind == SHIFT:
-            perm = (np.arange(d) + self.power) % d
-        elif self.kind == CPOW:
-            k = np.arange(d * d)
-            perm = k - k % d + (k % d + k // d) % d
-        elif self.kind == RELABEL:
-            perm = np.array(self.permutation, dtype=np.intp)
-        else:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+        perm = self._permutation()
         out = np.zeros((len(perm), len(perm)), dtype=complex)
         out[perm, np.arange(len(perm))] = 1.0
         return out
+
+    def _permutation(self) -> np.ndarray:
+        """|k> -> |perm[k]> on the gate's parties (the whole register for relabel)."""
+        d = self.d
+        if self.kind == SHIFT:
+            return (np.arange(d) + self.power) % d
+        if self.kind == CPOW:
+            k = np.arange(d * d)  # k = control * d + target
+            return k - k % d + (k % d + k // d) % d
+        if self.kind == RELABEL:
+            return np.array(self.permutation, dtype=np.intp)
+        raise ValueError(f"unknown gate kind {self.kind!r}")
 
 
 def shift_gate(d: int, power: int, party: int) -> Gate:
@@ -120,26 +126,19 @@ def _check_gate(gate: Gate, dims: tuple[int, ...]):
 def apply_gate(gate: Gate, state: StateVector) -> StateVector:
     """Apply one gate by index arithmetic on the amplitude tensor."""
     _check_gate(gate, state.dims)
-    if gate.kind == RELABEL:
-        out = np.empty_like(state.amps)
-        out[list(gate.permutation)] = state.amps
-        return StateVector(state.dims, out)
-    arr = state.tensor()
-    if gate.kind == SHIFT:
-        arr = np.roll(arr, gate.power, axis=gate.parties[0])
-    elif gate.kind == FOURIER:
-        p = gate.parties[0]
-        arr = np.moveaxis(np.tensordot(gate.matrix(), arr, axes=([1], [p])), 0, p)
-    elif gate.kind == CPOW:
-        c, t = gate.parties
-        arr = arr.copy()
-        idx = [slice(None)] * len(state.dims)
-        for j in range(1, gate.d):
-            idx[c] = j
-            arr[tuple(idx)] = np.roll(arr[tuple(idx)], j, axis=t if t < c else t - 1)
+    n = len(state.dims)
+    axes = gate.parties or tuple(range(n))  # relabel: the whole register
+    order = axes + tuple(p for p in range(n) if p not in axes)  # gate parties lead
+    arr = state.tensor().transpose(order)
+    if gate.kind == FOURIER:
+        out = np.tensordot(gate.matrix(), arr, axes=([1], [0])).transpose(np.argsort(order))
     else:
-        raise ValueError(f"unknown gate kind {gate.kind!r}")
-    return StateVector(state.dims, arr.reshape(-1))
+        # Register order, so StateVector keeps this one block without a copy.
+        out = np.empty(state.dims, dtype=complex)
+        shape = arr.shape[: len(axes)]
+        dest = np.unravel_index(gate._permutation().reshape(shape), shape)
+        out.transpose(order)[dest] = arr
+    return StateVector(state.dims, out)
 
 
 def apply(circuit: Circuit, state: StateVector) -> StateVector:

@@ -66,7 +66,7 @@ def masking_capacity(d: int, m: int) -> int:
     return d ** (m // 2)
 
 
-def build_scheme(w: int, d: int, m: int, provenance: str | None = None) -> MaskingScheme:
+def build_scheme(w: int, d: int, m: int) -> MaskingScheme:
     """Mask a w-level system into m parties of dimension d.
 
     The register is split into halves of floor(m/2) and ceil(m/2) parties;
@@ -92,11 +92,10 @@ def build_scheme(w: int, d: int, m: int, provenance: str | None = None) -> Maski
     # Row-wise kron: each entry is one product, as in np.kron of the rows.
     images = np.empty((w, d**m), dtype=complex)
     np.multiply(left[:, :, None], right[:, None, :], out=images.reshape(w, left.shape[1], right.shape[1]))
-    if provenance is None:
-        provenance = {
-            (4, 2, 4): "example1",
-            (8, 2, 6): "example2",
-        }.get((w, d, m), "theorem1" if m == 4 and w == d * d else "theorem2")
+    provenance = {
+        (4, 2, 4): "example1",
+        (8, 2, 6): "example2",
+    }.get((w, d, m), "theorem1" if m == 4 and w == d * d else "theorem2")
     return MaskingScheme(w, d, m, FreshBlock(images), provenance)
 
 

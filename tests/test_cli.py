@@ -275,3 +275,39 @@ class TestMaskingFailureExit:
         code, out, _ = run(capsys, "verify", "--w", "4", "--d", "2", "--m", "4")
         assert code == EXIT_MASKING_FAILURE
         assert json.loads(out) == {"passed": False}
+
+
+class TestUnwritableOutput:
+    COMMANDS = [
+        ["build", "--w", "4", "--d", "2", "--m", "4"],
+        ["mask", "--w", "4", "--d", "2", "--m", "4", "--amps", "0.5,0.5,0.5,0.5"],
+        ["circuit", "--d", "2"],
+        ["verify", "--w", "4", "--d", "2", "--m", "4", "--samples", "2"],
+        ["bounds", "--d", "2", "--m", "6"],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_missing_directory_is_usage_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"quditmask: usage error: cannot write {target}")
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_directory_path_is_usage_error(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--output", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "cannot write" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_relative_path_under_missing_output_dir(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("QUDITMASK_OUTPUT_DIR", str(tmp_path / "missing"))
+        code, out, err = run(capsys, "bounds", "--d", "2", "--m", "6", "--output", "b.json")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"cannot write {tmp_path / 'missing' / 'b.json'}" in err

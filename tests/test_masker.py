@@ -537,3 +537,19 @@ class TestMaskingInvariantIsSingleton:
     def test_construction_keeps_its_capacity(self):
         with pytest.raises(BoundViolationError, match=r"d\^floor\(m/2\) = 8"):
             build_scheme(16, 2, 6)
+
+
+class TestBuildSchemeSignature:
+    def test_takes_no_provenance(self):
+        import inspect
+
+        assert list(inspect.signature(build_scheme).parameters) == ["w", "d", "m"]
+        with pytest.raises(TypeError):
+            build_scheme(4, 2, 4, provenance="custom")
+
+    @pytest.mark.parametrize("w,d,m,want", [
+        (4, 2, 4, "example1"), (8, 2, 6, "example2"), (9, 3, 4, "theorem1"),
+        (4, 3, 4, "theorem2"), (4, 2, 6, "theorem2"),
+    ])
+    def test_provenance_follows_from_parameters(self, w, d, m, want):
+        assert build_scheme(w, d, m).provenance == want
