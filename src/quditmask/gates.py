@@ -1,26 +1,24 @@
 """Qudit gate constructors and circuit application.
 
 One path applies every gate, and full register matrices are never
-materialized: a transpose puts the gate's parties first (a relabel gate
-takes the whole register); Fourier contracts its matrix over them, and
-every other kind writes row k, through the same transpose of one
-register-order output block, to perm[k] of its basis permutation.
+materialized: a transpose puts the gate's parties first; Fourier
+contracts its matrix over them, and every other kind writes row k,
+through the same transpose of one register-order output block, to
+perm[k] of its basis permutation.
 `Gate.matrix()` builds the dense local form from that permutation.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .tensorcore import ShapeError, StateVector
+from .tensorcore import ShapeError, StateVector, check_size_budget
 
 SHIFT = "shift"
 FOURIER = "fourier"
 CPOW = "cpow"
-RELABEL = "relabel"
 
 
 @dataclass(frozen=True)
@@ -28,18 +26,23 @@ class Gate:
     """One gate of a qudit circuit.
 
     kind: "shift" (cyclic X^power on one party), "fourier" (discrete
-    Fourier transform on one party), "cpow" (|j><j| (x) U^j on a
-    control/target pair), or "relabel" (basis permutation of the whole
-    register).
-    parties: target party indices; (control, target) for cpow, empty for
-    relabel.
+    Fourier transform on one party), or "cpow" (|j><j| (x) U^j on a
+    control/target pair), each on parties of local dimension d >= 2.
+    parties: target party index; (control, target) for cpow.
+    power: reduced mod d.
     """
 
     kind: str
     d: int
     parties: tuple[int, ...]
     power: int = 0
-    permutation: tuple[int, ...] = field(default=())
+
+    def __post_init__(self):
+        if self.d < 2:
+            raise ValueError("d must be >= 2")
+        if len(set(self.parties)) != len(self.parties):
+            raise ValueError("control and target must differ")
+        object.__setattr__(self, "power", self.power % self.d)
 
     def matrix(self) -> np.ndarray:
         """Dense unitary acting on the gate's own parties."""
@@ -54,47 +57,29 @@ class Gate:
         return out
 
     def _permutation(self) -> np.ndarray:
-        """|k> -> |perm[k]> on the gate's parties (the whole register for relabel)."""
+        """|k> -> |perm[k]> on the gate's parties."""
         d = self.d
         if self.kind == SHIFT:
             return (np.arange(d) + self.power) % d
         if self.kind == CPOW:
             k = np.arange(d * d)  # k = control * d + target
             return k - k % d + (k % d + k // d) % d
-        if self.kind == RELABEL:
-            return np.array(self.permutation, dtype=np.intp)
         raise ValueError(f"unknown gate kind {self.kind!r}")
 
 
 def shift_gate(d: int, power: int, party: int) -> Gate:
     """Cyclic shift |j> -> |(j+power) mod d| on one party."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    return Gate(SHIFT, d, (party,), power=power % d)
+    return Gate(SHIFT, d, (party,), power=power)
 
 
 def fourier_gate(d: int, party: int) -> Gate:
     """Discrete Fourier gate F|j> = (1/sqrt d) sum_l w^{jl} |l>, the Hadamard at d=2."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
     return Gate(FOURIER, d, (party,))
 
 
 def controlled_power_gate(d: int, control: int, target: int) -> Gate:
     """|j>|t> -> |j>|(t+j) mod d>; the C-NOT at d=2."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if control == target:
-        raise ValueError("control and target must differ")
     return Gate(CPOW, d, (control, target))
-
-
-def relabel_gate(permutation: list[int] | tuple[int, ...]) -> Gate:
-    """Basis relabeling |k> -> |permutation[k]> of the whole register."""
-    perm = tuple(int(p) for p in permutation)
-    if sorted(perm) != list(range(len(perm))):
-        raise ValueError("not a permutation")
-    return Gate(RELABEL, len(perm), (), permutation=perm)
 
 
 @dataclass(frozen=True)
@@ -112,10 +97,6 @@ class Circuit:
 
 
 def _check_gate(gate: Gate, dims: tuple[int, ...]):
-    if gate.kind == RELABEL:
-        if len(gate.permutation) != math.prod(dims):
-            raise ShapeError("relabel permutation length != register dimension")
-        return
     for p in gate.parties:
         if not 0 <= p < len(dims):
             raise ShapeError(f"party {p} out of range for {len(dims)} parties")
@@ -127,7 +108,7 @@ def apply_gate(gate: Gate, state: StateVector) -> StateVector:
     """Apply one gate by index arithmetic on the amplitude tensor."""
     _check_gate(gate, state.dims)
     n = len(state.dims)
-    axes = gate.parties or tuple(range(n))  # relabel: the whole register
+    axes = gate.parties
     order = axes + tuple(p for p in range(n) if p not in axes)  # gate parties lead
     arr = state.tensor().transpose(order)
     if gate.kind == FOURIER:
@@ -154,6 +135,7 @@ def append_ancilla(state: StateVector, d: int, count: int) -> StateVector:
     """Extend the register by `count` ancilla parties of dimension d in |0>."""
     if d < 2 or count < 1:
         raise ValueError("need d >= 2 and count >= 1")
+    check_size_budget(1, state.dim * d**count)
     anc = np.zeros(d ** count, dtype=complex)
     anc[0] = 1.0
     return StateVector(state.dims + (d,) * count, np.kron(state.amps, anc))

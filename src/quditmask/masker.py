@@ -154,8 +154,6 @@ def qudit4_circuit(d: int) -> Circuit:
     """Qudit generalization of the 4-party circuit: two copying controlled
     shifts, Fourier on parties 0 and 2, then two phase-spreading controlled
     shifts."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
     return Circuit(
         (d, d, d, d),
         (

@@ -22,7 +22,7 @@ MARGINAL_TOL = 1e-10  # max-entry distance of a masked marginal from I/d
 MEB_MARGINAL_TOL = 1e-11  # the same distance for a basis element in certify_meb
 VARIATION_TOL = 1e-10  # max-entry spread of a marginal across verified inputs
 INPUT_NORM_TOL = 1e-9  # | ||a|| - 1 | accepted for CLI input amplitudes
-SIZE_BUDGET_BYTES = 2**28  # largest amplitude block (16 B per amplitude) build_scheme or ghz_amplitudes allocates
+SIZE_BUDGET_BYTES = 2**28  # largest amplitude block (16 B per amplitude) build_scheme, ghz_amplitudes or append_ancilla allocates
 
 
 class ShapeError(ValueError):
@@ -129,7 +129,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=complex)
+        mat = np.array(self.mat, dtype=complex)
         if mat.shape != (self.dim, self.dim):
             raise ShapeError(f"matrix shape {mat.shape} != ({self.dim}, {self.dim})")
         _check_densities(mat[None])
@@ -230,10 +230,7 @@ def max_distance_to_maximally_mixed(mats: np.ndarray) -> float:
     """Max-entry norm of mat - I/d over a (..., d, d) stack; 0.0 if empty,
     NaN if any entry is NaN."""
     d = mats.shape[-1]
-    diff = mats.copy()
-    # The diagonal only, through a flat view: cheaper than building I/d.
-    diff.reshape(diff.shape[:-2] + (d * d,))[..., :: d + 1] -= 1 / d
-    return float(np.abs(diff).max(initial=0.0))
+    return float(np.abs(mats - np.eye(d) / d).max(initial=0.0))
 
 
 def distance_to_maximally_mixed(rho: DensityMatrix) -> float:
@@ -244,9 +241,7 @@ def distance_to_maximally_mixed(rho: DensityMatrix) -> float:
 def gram_deviation(amps: np.ndarray) -> float:
     """Max-entry norm of G - I for the Gram matrix G of the rows of a
     (N, dim) amplitude block; 0.0 if N = 0."""
-    if not len(amps):
-        return 0.0
-    return float(np.max(np.abs(amps.conj() @ amps.T - np.eye(len(amps)))))
+    return float(np.abs(amps.conj() @ amps.T - np.eye(len(amps))).max(initial=0.0))
 
 
 def complex_pairs(a: np.ndarray) -> list:

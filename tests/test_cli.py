@@ -311,3 +311,58 @@ class TestUnwritableOutput:
         assert code == EXIT_USAGE
         assert out == ""
         assert f"cannot write {tmp_path / 'missing' / 'b.json'}" in err
+
+
+class TestTextFormatGoldens:
+    def test_mask_text(self, capsys):
+        code, out, _ = run(capsys, "mask", "--w", "4", "--d", "2", "--m", "4", "--amps", "0.5,0.5,0.5,0.5", "--format", "text")
+        masked = mask(build_scheme(4, 2, 4), StateVector((4,), np.full(4, 0.5)))
+        devs = [np.max(np.abs(partial_trace(masked, [p]).mat - np.eye(2) / 2)) for p in range(4)]
+        assert code == EXIT_OK
+        assert out == "masked state on 4 parties of dimension 2\n" + "".join(
+            f"party {p}: max deviation from I/d = {dev:.3e}\n" for p, dev in enumerate(devs)
+        )
+
+    def test_verify_text(self, capsys):
+        from quditmask import verify_scheme
+
+        code, out, _ = run(capsys, "verify", "--w", "4", "--d", "2", "--m", "4", "--samples", "3", "--seed", "1", "--format", "text")
+        checks = verify_scheme(build_scheme(4, 2, 4), n_samples=3, seed=1).checks
+        assert code == EXIT_OK
+        assert out == (
+            "verify w=4 d=2 m=4 samples=3 seed=1\n"
+            f"marginals_maximally_mixed: {checks['marginals_maximally_mixed'].value:.3e} <= 1e-10 [pass]\n"
+            f"marginals_input_independent: {checks['marginals_input_independent'].value:.3e} <= 1e-10 [pass]\n"
+            f"isometry_gram: {checks['isometry_gram'].value:.3e} <= 1e-11 [pass]\n"
+            "verdict: pass\n"
+        )
+
+    def test_bounds_text(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--d", "2", "--m", "4", "--w", "4", "17", "--format", "text")
+        assert code == EXIT_OK
+        assert out == (
+            "d=2 m=4\n"
+            "masking bound d^floor(m/2) = 4\n"
+            "singleton bound d^(m-2) = 4\n"
+            "tighter: True\n"
+            "w=4: min parties 4\n"
+            "w=17: min parties 10\n"
+        )
+
+    def test_bounds_text_flags_small_registers(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--d", "3", "--m", "4", "--w", "2", "--format", "text")
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "w=2: min parties 2  (constructions require m >= 4)"
+
+
+class TestInlineAmplitudeErrors:
+    @pytest.mark.parametrize("amps,message", [
+        ("0.5,x,0.5,0.5", "cannot parse inline amplitudes"),
+        ("0.5,0.5,0.5", "expected 4 amplitudes, got 3"),
+        ("0.5,0.5,0.5,0.5,0", "expected 4 amplitudes, got 5"),
+    ])
+    def test_usage_error(self, capsys, amps, message):
+        code, out, err = run(capsys, "mask", "--w", "4", "--d", "2", "--m", "4", "--amps", amps)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and message in err

@@ -2,8 +2,8 @@
 
 Every kind is checked bit for bit against the per-kind code it replaced
 (written out below: `np.roll` for a shift, one roll per control value
-for cpow, a flat scatter for relabel, a tensordot over the party for
-Fourier), and on mixed-dimension registers against dense operators.
+for cpow, a tensordot over the party for Fourier), and on
+mixed-dimension registers against dense operators.
 """
 
 import itertools
@@ -17,7 +17,6 @@ from quditmask import (
     apply_gate,
     controlled_power_gate,
     fourier_gate,
-    relabel_gate,
     shift_gate,
 )
 from quditmask.gates import Gate
@@ -26,10 +25,6 @@ from oracles import embed_cpow, embed_single
 
 def per_kind_apply(gate, state):
     """The per-kind application the single path replaced."""
-    if gate.kind == "relabel":
-        out = np.empty_like(state.amps)
-        out[list(gate.permutation)] = state.amps
-        return out
     arr = state.tensor()
     if gate.kind == "shift":
         arr = np.roll(arr, gate.power, axis=gate.parties[0])
@@ -59,7 +54,7 @@ def signed_zero_state(dims, seed):
 
 def every_gate(dims, seed):
     """Each shift power and the Fourier gate on every party, cpow on every
-    ordered pair of equal-dimension parties, and one relabel."""
+    ordered pair of equal-dimension parties."""
     for p, d in enumerate(dims):
         for power in range(d):
             yield shift_gate(d, power, p)
@@ -67,7 +62,6 @@ def every_gate(dims, seed):
     for c, t in itertools.permutations(range(len(dims)), 2):
         if dims[c] == dims[t]:
             yield controlled_power_gate(dims[c], c, t)
-    yield relabel_gate(np.random.default_rng(seed).permutation(int(np.prod(dims))))
 
 
 HOMOGENEOUS = [(d,) * n for d in range(2, 8) for n in (2, 3, 4)]

@@ -14,7 +14,6 @@ from quditmask import (
     controlled_power_gate,
     fourier_gate,
     inner_product,
-    relabel_gate,
     shift_gate,
 )
 from oracles import embed_cpow, embed_single, state_from_kets
@@ -68,13 +67,6 @@ class TestGateMatrices:
     def test_cpow_rejects_control_equals_target(self):
         with pytest.raises(ValueError):
             controlled_power_gate(2, 1, 1)
-
-    def test_relabel(self):
-        gate = relabel_gate([1, 2, 0])
-        out = apply_gate(gate, basis_state((3,), (0,)))
-        assert np.allclose(out.amps, basis_state((3,), (1,)).amps)
-        u = gate.matrix()
-        assert np.allclose(u.conj().T @ u, np.eye(3))
 
 
 class TestApply:
@@ -215,11 +207,3 @@ class TestPermutationMatricesMatchLoops:
         for j in range(d):
             want[j * d:(j + 1) * d, j * d:(j + 1) * d] = np.linalg.matrix_power(shift, j)
         assert controlled_power_gate(d, 0, 1).matrix().tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 16])
-    def test_relabel(self, n):
-        perm = np.random.default_rng(n).permutation(n)
-        want = np.zeros((n, n), dtype=complex)
-        for src, dst in enumerate(perm):
-            want[dst, src] = 1.0
-        assert relabel_gate(perm).matrix().tobytes() == want.tobytes()

@@ -380,3 +380,57 @@ class TestMaxDistanceToMaximallyMixed:
             expected = float(np.max(np.abs(mats - np.eye(d) / d)))
             assert max_distance_to_maximally_mixed(mats) == expected
             assert max_distance_to_maximally_mixed(mats[:, 1]) == float(np.max(np.abs(mats[:, 1] - np.eye(d) / d)))
+
+
+class TestBasisStateErrors:
+    def test_one_digit_per_party(self):
+        with pytest.raises(ShapeError, match="one digit per party required"):
+            basis_state((2, 3), (0,))
+
+    @pytest.mark.parametrize("digits", [(0, 3), (-1, 0)])
+    def test_digit_out_of_range(self, digits):
+        with pytest.raises(ValueError, match="out of range for dimension"):
+            basis_state((2, 3), digits)
+
+
+class TestArrayOwnership:
+    def test_density_matrix_shape_error(self):
+        with pytest.raises(ShapeError, match=r"matrix shape \(2, 3\) != \(2, 2\)"):
+            DensityMatrix(2, np.zeros((2, 3)))
+
+    def test_density_matrix_copies_the_callers_array(self):
+        m = np.eye(2, dtype=complex) / 2
+        rho = DensityMatrix(2, m)
+        assert m.flags.writeable
+        assert not rho.mat.flags.writeable
+        m[0, 0] = 5.0
+        assert rho.mat[0, 0] == 0.5
+
+    def test_density_matrix_from_a_view_is_not_rewritten(self):
+        base = np.eye(2, dtype=complex) / 2
+        rho = DensityMatrix(2, base[:])
+        base[0, 1] = base[1, 0] = 7.0
+        assert rho.mat.tobytes() == (np.eye(2, dtype=complex) / 2).tobytes()
+
+    def test_state_vector_keeps_a_read_only_view(self):
+        amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        psi = StateVector((2, 2), amps)
+        assert np.shares_memory(psi.amps, amps)
+        assert not psi.amps.flags.writeable
+
+
+class TestReductionsWithoutSpecialCases:
+    def test_gram_deviation_of_an_empty_family_is_zero(self):
+        from quditmask.tensorcore import gram_deviation
+
+        assert gram_deviation(np.zeros((0, 8), dtype=complex)) == 0.0
+        assert gram_deviation(np.eye(3, dtype=complex)) == 0.0
+        assert np.isnan(gram_deviation(np.array([[np.nan, 0], [0, 1]], dtype=complex)))
+
+    def test_signed_zero_and_exact_identity(self):
+        for d in (2, 3, 7):
+            mats = np.zeros((2, d, d), dtype=complex)
+            mats[:] = np.eye(d) / d
+            mats[1, 0, 1] = complex(-0.0, -0.0)
+            assert max_distance_to_maximally_mixed(mats) == 0.0
+            assert max_distance_to_maximally_mixed(mats[:0]) == 0.0
