@@ -87,15 +87,16 @@ def _read_amplitudes(args, w: int) -> StateVector:
     amps = np.array(values, dtype=complex)
     if not np.all(np.isfinite(amps)):
         raise UsageError("input amplitudes must be finite")
-    norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > INPUT_NORM_TOL:
-        if args.renormalize:
-            print(f"warning: input norm {norm:.6g} != 1, renormalizing", file=sys.stderr)
+    # A norm that overflows to inf or underflows to 0 is refused below, not warned about.
+    with np.errstate(all="ignore"):
+        norm = float(np.linalg.norm(amps))
+        if abs(norm - 1.0) > INPUT_NORM_TOL:
+            if not args.renormalize:
+                raise UsageError(f"input state norm {norm:.6g} != 1 (pass --renormalize to fix it up)")
             amps = amps / norm
-        else:
-            raise UsageError(
-                f"input state norm {norm:.6g} != 1 (pass --renormalize to fix it up)"
-            )
+            if not (np.all(np.isfinite(amps)) and abs(np.linalg.norm(amps) - 1.0) <= INPUT_NORM_TOL):
+                raise UsageError(f"input state norm {norm:.6g} cannot be renormalized to 1")
+            print(f"warning: input norm {norm:.6g} != 1, renormalizing", file=sys.stderr)
     return StateVector((w,), amps)
 
 

@@ -19,6 +19,7 @@ from .tensorcore import ShapeError, StateVector, check_size_budget
 SHIFT = "shift"
 FOURIER = "fourier"
 CPOW = "cpow"
+_ARITY = {SHIFT: 1, FOURIER: 1, CPOW: 2}  # the paper's three gates and their party counts
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,8 @@ class Gate:
     Fourier transform on one party), or "cpow" (|j><j| (x) U^j on a
     control/target pair), each on parties of local dimension d >= 2.
     parties: target party index; (control, target) for cpow.
-    power: reduced mod d.
+    power: reduced mod d; only a shift carries a nonzero one.
+    Any other kind, party count or power is refused when the Gate is built.
     """
 
     kind: str
@@ -42,6 +44,12 @@ class Gate:
             raise ValueError("d must be >= 2")
         if len(set(self.parties)) != len(self.parties):
             raise ValueError("control and target must differ")
+        if self.kind not in _ARITY:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        if len(self.parties) != _ARITY[self.kind]:
+            raise ValueError(f"{self.kind} gate party count must be {_ARITY[self.kind]}, got {self.parties!r}")
+        if self.kind != SHIFT and self.power % self.d:
+            raise ValueError(f"a {self.kind} gate has no power, got {self.power}")
         object.__setattr__(self, "power", self.power % self.d)
 
     def matrix(self) -> np.ndarray:
@@ -61,10 +69,8 @@ class Gate:
         d = self.d
         if self.kind == SHIFT:
             return (np.arange(d) + self.power) % d
-        if self.kind == CPOW:
-            k = np.arange(d * d)  # k = control * d + target
-            return k - k % d + (k % d + k // d) % d
-        raise ValueError(f"unknown gate kind {self.kind!r}")
+        k = np.arange(d * d)  # cpow: k = control * d + target
+        return k - k % d + (k % d + k // d) % d
 
 
 def shift_gate(d: int, power: int, party: int) -> Gate:
@@ -149,10 +155,8 @@ def circuit_to_text(circuit: Circuit) -> str:
             lines.append(f"CPOW d={g.d} c={g.parties[0]} t={g.parties[1]}")
         elif g.kind == FOURIER:
             lines.append(f"F d={g.d} p={g.parties[0]}")
-        elif g.kind == SHIFT:
-            lines.append(f"X^k d={g.d} p={g.parties[0]} k={g.power}")
         else:
-            raise ValueError(f"gate kind {g.kind!r} has no text form")
+            lines.append(f"X^k d={g.d} p={g.parties[0]} k={g.power}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -85,6 +85,7 @@ def two_qudit_meb(d: int) -> MebFamily:
     """
     if d < 2:
         raise ValueError("d must be >= 2")
+    check_size_budget(d * d, d * d)  # before the d^2 labels are built
     return MebFamily(d, 2, FreshBlock(ghz_amplitudes(d, 2, two_qudit_labels(d, d * d))), range(d * d))
 
 

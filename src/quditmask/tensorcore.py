@@ -16,7 +16,6 @@ import numpy as np
 # The package's one tolerance table.
 HERMITICITY_TOL = 1e-12  # max |rho - rho^dagger| accepted by DensityMatrix
 PSD_TOL = 1e-10  # most negative eigenvalue accepted by DensityMatrix
-NORM_TOL = 1e-12  # StateVector.is_normalized
 GRAM_TOL = 1e-11  # max |G - I| of a scheme's images or a basis
 MARGINAL_TOL = 1e-10  # max-entry distance of a masked marginal from I/d
 MEB_MARGINAL_TOL = 1e-11  # the same distance for a basis element in certify_meb
@@ -62,9 +61,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(np.vdot(self.amps, self.amps).real - 1.0) <= tol
 
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per party (read-only view)."""

@@ -110,6 +110,50 @@ class TestMask:
         assert "finite" in err
 
 
+CLI_INPUTS = {
+    "mask": ("mask", "--w", "4", "--d", "2", "--m", "4"),
+    "circuit": ("circuit", "--d", "2"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+class TestRenormalizeGuard:
+    """--renormalize yields a finite unit-norm state or exits 64, with no numpy warning."""
+
+    @pytest.mark.parametrize("command", CLI_INPUTS)
+    @pytest.mark.parametrize(
+        "amps,extra",
+        [
+            ("0,0,0,0", ("--renormalize",)),
+            ("1e-200,0,0,0", ("--renormalize",)),
+            ("1e308,1e308,0,0", ("--renormalize",)),
+            ("1e308,1e308,0,0", ()),
+        ],
+        ids=["zero", "underflow", "overflow", "overflow-unrenormalized"],
+    )
+    def test_unrenormalizable_input_exits_64(self, capsys, command, amps, extra):
+        code, out, err = run(capsys, *CLI_INPUTS[command], "--amps", amps, *extra)
+        assert code == EXIT_USAGE and out == ""
+        assert err.count("\n") == 1 and "usage error" in err
+
+    @pytest.mark.parametrize("command", CLI_INPUTS)
+    def test_ordinary_input_is_divided_by_its_norm(self, capsys, command):
+        amps = np.array([1, 2j, -3, 4], dtype=complex)
+        code, out, err = run(capsys, *CLI_INPUTS[command], "--amps", "1,2j,-3,4", "--renormalize")
+        assert code == EXIT_OK
+        assert err.count("\n") == 1 and "renormalizing" in err
+        state = StateVector((4,), amps / np.linalg.norm(amps))
+        want = mask(build_scheme(4, 2, 4), state) if command == "mask" else circuit_mask(2, state)
+        got = np.array([complex(re, im) for re, im in json.loads(out)["amplitudes"]])
+        assert got.tobytes() == want.amps.tobytes()
+
+
+def test_build_below_two_levels_is_usage_error(capsys):
+    code, out, err = run(capsys, "build", "--w", "1", "--d", "2", "--m", "4")
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("\n") == 1 and "need w >= 2 and d >= 2" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

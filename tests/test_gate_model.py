@@ -2,6 +2,7 @@
 parties, each checked once when the Gate is built; and the size budget
 of the circuit route's ancilla extension."""
 
+import itertools
 import tracemalloc
 
 import pytest
@@ -13,6 +14,7 @@ from quditmask import (
     append_ancilla,
     apply_gate,
     basis_state,
+    circuit_from_text,
     circuit_mask,
     circuit_to_text,
     controlled_power_gate,
@@ -58,15 +60,60 @@ class TestGateChecks:
         assert Gate("shift", 4, (0,), 9).power == 1
 
     def test_unknown_kind_has_no_text_form(self):
-        circuit = Circuit((2, 2), (Gate("swap", 2, (0,)),))
-        with pytest.raises(ValueError, match="gate kind 'swap' has no text form"):
-            circuit_to_text(circuit)
+        # Refused when built, so no circuit can hold a gate without a text form.
+        with pytest.raises(ValueError, match="unknown gate kind 'swap'"):
+            Gate("swap", 2, (0,))
 
     def test_gate_dimension_must_match_party(self):
         with pytest.raises(ShapeError, match=r"gate dimension 3 != party 1 dimension 2"):
             Circuit((3, 2), (fourier_gate(3, 1),))
         with pytest.raises(ShapeError, match=r"gate dimension 2 != party 0 dimension 3"):
             apply_gate(shift_gate(2, 1, 0), basis_state((3, 2), (0, 0)))
+
+
+class TestClosedGateModel:
+    """Kind, party count and power are checked once, when the Gate is built."""
+
+    @pytest.mark.parametrize("kind", ["relabel", "SHIFT", ""])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match=f"^unknown gate kind {kind!r}$"):
+            Gate(kind, 2, (0,))
+
+    @pytest.mark.parametrize("kind", ["shift", "fourier"])
+    @pytest.mark.parametrize("parties", [(), (0, 1), (0, 1, 2)])
+    def test_single_party_kinds_take_one_party(self, kind, parties):
+        with pytest.raises(ValueError, match=f"^{kind} gate party count must be 1"):
+            Gate(kind, 3, parties)
+
+    @pytest.mark.parametrize("parties", [(), (0,), (0, 1, 2)])
+    def test_cpow_takes_two_parties(self, parties):
+        with pytest.raises(ValueError, match="^cpow gate party count must be 2"):
+            Gate("cpow", 3, parties)
+
+    @pytest.mark.parametrize("kind,parties", [("fourier", (0,)), ("cpow", (0, 1))])
+    @pytest.mark.parametrize("power", [1, 2, -1, 4])
+    def test_only_a_shift_has_a_power(self, kind, parties, power):
+        with pytest.raises(ValueError, match=f"^a {kind} gate has no power"):
+            Gate(kind, 3, parties, power)
+
+    @pytest.mark.parametrize("kind,parties", [("fourier", (0,)), ("cpow", (0, 1))])
+    def test_power_that_reduces_to_zero_is_kept(self, kind, parties):
+        assert Gate(kind, 3, parties, 6) == Gate(kind, 3, parties)
+
+    def test_earlier_checks_report_first(self):
+        with pytest.raises(ValueError, match=r"^d must be >= 2$"):
+            Gate("swap", 1, (0, 1))
+        with pytest.raises(ValueError, match=r"^control and target must differ$"):
+            Gate("fourier", 2, (0, 0))
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_every_valid_gate_round_trips_through_text(self, d, n):
+        gates = [shift_gate(d, k, p) for p in range(n) for k in range(d)]
+        gates += [fourier_gate(d, p) for p in range(n)]
+        gates += [controlled_power_gate(d, c, t) for c, t in itertools.permutations(range(n), 2)]
+        circuit = Circuit((d,) * n, tuple(gates))
+        assert circuit_from_text(circuit_to_text(circuit), circuit.dims).gates == circuit.gates
 
 
 class TestPublicNames:
@@ -91,6 +138,11 @@ class TestAncillaSizeBudget:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("d,count", [(2, 0), (2, -1), (1, 2)])
+    def test_ancilla_arguments_checked(self, d, count):
+        with pytest.raises(ValueError, match=r"^need d >= 2 and count >= 1$"):
+            append_ancilla(basis_state((2, 2), (0, 0)), d, count)
 
     def test_circuit_mask_refused(self):
         with pytest.raises(ValueError, match="over the size budget"):

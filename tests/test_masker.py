@@ -94,6 +94,11 @@ class TestBuildScheme:
         with pytest.raises(ValueError):
             build_scheme(4, 2, 3)
 
+    @pytest.mark.parametrize("w,d", [(1, 2), (2, 1)])
+    def test_too_few_levels_rejected(self, w, d):
+        with pytest.raises(ValueError, match=r"^need w >= 2 and d >= 2$"):
+            build_scheme(w, d, 4)
+
     def test_named_constructors(self):
         assert example1_scheme().w == 4
         assert example2_scheme().m == 6
@@ -268,6 +273,11 @@ class TestMinParties:
         assert min_parties(4, 2) == 4
         assert min_parties(8, 2) == 6
         assert min_parties(2, 2) == 2
+
+    @pytest.mark.parametrize("w,d", [(1, 2), (2, 1)])
+    def test_too_few_levels_rejected(self, w, d):
+        with pytest.raises(ValueError, match=r"^need w >= 2 and d >= 2$"):
+            min_parties(w, d)
 
     @pytest.mark.parametrize("d", range(2, 6))
     def test_square_capacity_needs_four(self, d):

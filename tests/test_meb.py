@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,8 +51,27 @@ class TestTwoQuditMeb:
                 rho = partial_trace(state, [party]).mat
                 assert np.max(np.abs(rho - np.eye(d) / d)) <= 1e-12
 
+    def test_dimension_below_two_rejected(self):
+        with pytest.raises(ValueError, match=r"^d must be >= 2$"):
+            two_qudit_meb(1)
+
+    def test_over_budget_refused_before_labels(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="over the size budget"):
+                two_qudit_meb(2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestGhzBasis:
+    @pytest.mark.parametrize("d,n", [(2, 1), (1, 3)])
+    def test_small_arguments_rejected(self, d, n):
+        with pytest.raises(ValueError, match=r"^need d >= 2 and n_parties >= 2$"):
+            ghz_basis(d, n)
+
     def test_three_qubit_ghz_element(self):
         family = ghz_basis(2, 3)
         expected = state_from_kets({"000": R2, "111": R2}, (2, 2, 2))
