@@ -112,21 +112,22 @@ def _cmd_build(args) -> tuple[str, int]:
 
 
 def _cmd_mask(args) -> tuple[str, int]:
-    scheme = masker.build_scheme(args.w, args.d, args.m)
-    state = _read_amplitudes(args, args.w)
-    masked = masker.mask(scheme, state)
-    marginals = [reduced_densities(masked.amps[None], masked.dims, [p])[0] for p in range(scheme.m)]
+    # The scheme is never named, so its image block is freed when mask returns;
+    # arguments run left to right, so a bound violation (exit 3) is still
+    # reported before a malformed input (exit 64).
+    masked = masker.mask(masker.build_scheme(args.w, args.d, args.m), _read_amplitudes(args, args.w))
+    marginals = [reduced_densities(masked.amps[None], masked.dims, [p])[0] for p in range(args.m)]
     if args.format == "json":
         doc = {
-            "w": scheme.w,
-            "d": scheme.d,
-            "m": scheme.m,
+            "w": args.w,
+            "d": args.d,
+            "m": args.m,
             "amplitudes": complex_pairs(masked.amps),
             "marginals": [complex_pairs(rho) for rho in marginals],
         }
         payload = _dump_json(doc)
     else:
-        lines = [f"masked state on {scheme.m} parties of dimension {scheme.d}"]
+        lines = [f"masked state on {args.m} parties of dimension {args.d}"]
         for p, rho in enumerate(marginals):
             lines.append(f"party {p}: max deviation from I/d = {max_distance_to_maximally_mixed(rho):.3e}")
         payload = "\n".join(lines) + "\n"

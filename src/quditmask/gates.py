@@ -10,6 +10,7 @@ perm[k] of its basis permutation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,8 @@ class Gate:
     control/target pair), each on parties of local dimension d >= 2.
     parties: target party index; (control, target) for cpow.
     power: reduced mod d; only a shift carries a nonzero one.
+    d, parties and power are stored as Python ints (parties as a tuple);
+    a non-integer such as 2.5 raises TypeError.
     Any other kind, party count or power is refused when the Gate is built.
     """
 
@@ -40,6 +43,9 @@ class Gate:
     power: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "d", operator.index(self.d))
+        object.__setattr__(self, "parties", tuple(operator.index(p) for p in self.parties))
+        object.__setattr__(self, "power", operator.index(self.power))
         if self.d < 2:
             raise ValueError("d must be >= 2")
         if len(set(self.parties)) != len(self.parties):
@@ -94,7 +100,7 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(operator.index(d) for d in self.dims)
         gates = tuple(self.gates)
         for g in gates:
             _check_gate(g, dims)

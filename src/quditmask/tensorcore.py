@@ -9,6 +9,7 @@ you'd read off left to right.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ MARGINAL_TOL = 1e-10  # max-entry distance of a masked marginal from I/d
 MEB_MARGINAL_TOL = 1e-11  # the same distance for a basis element in certify_meb
 VARIATION_TOL = 1e-10  # max-entry spread of a marginal across verified inputs
 INPUT_NORM_TOL = 1e-9  # | ||a|| - 1 | accepted for CLI input amplitudes
-SIZE_BUDGET_BYTES = 2**28  # largest amplitude block (16 B per amplitude) build_scheme, ghz_amplitudes or append_ancilla allocates
+SIZE_BUDGET_BYTES = 2**28  # largest complex block (16 B per entry) build_scheme, ghz_amplitudes, append_ancilla or verify_scheme allocates
 
 
 class ShapeError(ValueError):
@@ -32,7 +33,7 @@ class ShapeError(ValueError):
 class StateVector:
     """Pure state on a multi-qudit register.
 
-    dims: per-party local dimensions, each >= 2.
+    dims: per-party local dimensions, each an integer >= 2 (a float raises TypeError).
     amps: complex amplitudes of length prod(dims), big-endian party order.
     Equality is identity; compare `amps` to compare states.
     """
@@ -41,7 +42,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(operator.index(d) for d in self.dims)
         if any(d < 2 for d in dims):
             raise ValueError(f"every party dimension must be >= 2, got {dims}")
         amps = np.asarray(self.amps, dtype=complex).reshape(-1)

@@ -15,6 +15,7 @@ from .tensorcore import (
     VARIATION_TOL,
     StateVector,
     basis_state,
+    check_size_budget,
     complex_pairs,
     max_distance_to_maximally_mixed,
     partial_trace,
@@ -90,9 +91,13 @@ def haar_random_state(dim: int, rng: np.random.Generator) -> StateVector:
 
 def verify_scheme(scheme: MaskingScheme, n_samples: int = 100, seed: int = 0) -> MaskingReport:
     """Check the masking condition on all w basis inputs plus n_samples
-    seeded Haar-random inputs; deterministic given (scheme, n_samples, seed)."""
+    seeded Haar-random inputs; deterministic given (scheme, n_samples, seed).
+    Raises ValueError before drawing any input if the inputs or the marginal
+    table would exceed the size budget."""
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
+    # Per input: w amplitudes, and m marginals of d*d entries in the table.
+    check_size_budget(scheme.w + n_samples, max(scheme.w, scheme.m * scheme.d**2))
     rng = np.random.default_rng(seed)
     inputs = [basis_state((scheme.w,), (k,)) for k in range(scheme.w)]
     inputs += [haar_random_state(scheme.w, rng) for _ in range(n_samples)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -410,3 +411,73 @@ class TestInlineAmplitudeErrors:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.count("\n") == 1 and message in err
+
+
+def _complex_amps(w):
+    return ",".join(f"{k + 1}-{k % 3}j" for k in range(w))
+
+
+class TestMaskFreesImageBlock:
+    """`mask` keeps no reference to the scheme, so the (w, d^m) image block
+    is freed before the m marginal reductions run."""
+
+    def test_peak_below_one_and_a_half_blocks(self, tmp_path):
+        argv = ["mask", "--w", "4", "--d", "2", "--m", "16", "--amps", "0.5,0.5,0.5,0.5",
+                "--format", "text", "--output", str(tmp_path / "out.txt")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        # The block alone is 16 B * w * d^m; holding it beside the masked
+        # state and the marginal kernel's two working copies reads 1.76.
+        assert peak < 1.5 * 16 * 4 * 2**16
+
+    # sha256 of the output file, recorded before the scheme was freed early.
+    @pytest.mark.parametrize(
+        "wdm,extra,fmt,digest",
+        [
+            ((4, 2, 4), ("--amps", "0.5,0.5,0.5,0.5"), "json",
+             "10b4886856653e8d369c6326d5bbf92dc07ee3e86ead4da9e91441419344097e"),
+            ((4, 2, 4), ("--amps", "0.5,0.5,0.5,0.5"), "text",
+             "34836914d01ba54a98e97cc04f760bc4699c8ae4712a46acf7733d3f59509701"),
+            ((9, 3, 4), ("--amps", _complex_amps(9), "--renormalize"), "json",
+             "056e51cdf4b6d15b69cd902a6d67b0493d42cf6252974e0bb4883da99beeaaff"),
+            ((9, 3, 4), ("--amps", _complex_amps(9), "--renormalize"), "text",
+             "e5935c2a17d445d901b1d78725293792ad76b274b3f6965166074bd85f64f828"),
+            ((16, 2, 8), ("--amps", _complex_amps(16), "--renormalize"), "json",
+             "e67159646856e9f36646ab30081ae88f2590490163419200cfe71de6f3755926"),
+            ((16, 2, 8), ("--amps", _complex_amps(16), "--renormalize"), "text",
+             "76dffb7e8028b564c30890059250cee259a7a460216d9c0f500a891406dcf123"),
+            ((4, 2, 16), ("--amps", "0.5,0.5,0.5,0.5"), "json",
+             "40f0603dde48088656d305b75374cec93376f9fc601af166c06f1e1e6ea9df65"),
+            ((4, 2, 16), ("--amps", "0.5,0.5,0.5,0.5"), "text",
+             "479ab4a83d57ef1883c21d41fa822b658d810c84d80d5894467995ef3fbeb3ef"),
+        ],
+    )
+    def test_output_bytes_unchanged(self, capsys, tmp_path, wdm, extra, fmt, digest):
+        w, d, m = wdm
+        out = tmp_path / "out"
+        code, _, _ = run(capsys, "mask", "--w", str(w), "--d", str(d), "--m", str(m), *extra,
+                         "--format", fmt, "--output", str(out))
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_bound_violation_still_reported_before_bad_input(self, capsys):
+        code, out, err = run(capsys, "mask", "--w", "32", "--d", "2", "--m", "4", "--amps", "bad")
+        assert code == EXIT_BOUND_VIOLATION and out == ""
+        assert err.count("\n") == 1 and "bound violation" in err
+
+
+def test_verify_samples_over_budget_exits_64(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "--w", "4", "--d", "2", "--m", "4", "--samples", "1000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("\n") == 1 and "over the size budget" in err
+    assert peak < 2**20

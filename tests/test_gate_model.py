@@ -5,6 +5,7 @@ of the circuit route's ancilla extension."""
 import itertools
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import quditmask
@@ -114,6 +115,33 @@ class TestClosedGateModel:
         gates += [controlled_power_gate(d, c, t) for c, t in itertools.permutations(range(n), 2)]
         circuit = Circuit((d,) * n, tuple(gates))
         assert circuit_from_text(circuit_to_text(circuit), circuit.dims).gates == circuit.gates
+
+
+class TestIntegerSizes:
+    """d, parties and power are Python ints and parties a tuple, whatever
+    integer type they are given as; a float is refused."""
+
+    def test_list_parties_hash(self):
+        assert hash(Gate("shift", 2, [0], 1)) == hash(Gate("shift", 2, (0,), 1))
+
+    def test_list_parties_round_trip_through_text(self):
+        circuit = Circuit((2, 2), (Gate("shift", 2, [0], 1), Gate("cpow", 2, [0, 1])))
+        assert circuit_from_text(circuit_to_text(circuit), circuit.dims).gates == circuit.gates
+
+    def test_numpy_integers_become_python_ints(self):
+        gate = Gate("shift", np.int64(3), (np.int64(0),), np.int64(4))
+        assert repr(gate) == "Gate(kind='shift', d=3, parties=(0,), power=1)"
+        assert all(type(v) is int for v in (gate.d, gate.power, *gate.parties))
+
+    @pytest.mark.parametrize("d,parties,power", [(2.5, (0,), 1), (2.0, (0,), 1), (2, (0.0,), 1), (2, (0,), 1.0)])
+    def test_gate_refuses_floats(self, d, parties, power):
+        with pytest.raises(TypeError):
+            Gate("shift", d, parties, power)
+
+    def test_circuit_refuses_float_dims(self):
+        with pytest.raises(TypeError):
+            Circuit((2.9, 2), ())
+        assert Circuit((np.int64(2), 2), ()).dims == (2, 2)
 
 
 class TestPublicNames:

@@ -43,6 +43,11 @@ class TestStateVector:
         with pytest.raises(ShapeError):
             StateVector((2, 2), np.zeros(3))
 
+    def test_rejects_float_dims(self):
+        with pytest.raises(TypeError):
+            StateVector((2.7, 2), np.zeros(4))
+        assert StateVector((np.int64(2), 2), np.zeros(4)).dims == (2, 2)
+
     def test_amplitudes_read_only(self):
         with pytest.raises(ValueError):
             BELL.amps[0] = 2.0

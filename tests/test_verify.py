@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from quditmask import (
     mask,
     verify_scheme,
 )
+from quditmask import tensorcore
 from quditmask.tensorcore import GRAM_TOL, MARGINAL_TOL, VARIATION_TOL, partial_trace
 from quditmask.verify import (
     CheckResult,
@@ -312,3 +314,35 @@ class TestSingletonCodesMask:
     def test_qutrit_secret_sharing_code_masks_into_three_parties(self):
         report = verify_scheme(MaskingScheme(3, 3, 3, qutrit_secret_sharing_images()), n_samples=20, seed=0)
         assert report.passed
+
+
+class TestVerifySizeBudget:
+    """The inputs and the marginal table are checked against the size budget
+    before any input is drawn."""
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        # (4,2,4) with 12 samples: 16 inputs; per input max(w, m*d*d) = 16 entries.
+        monkeypatch.setattr(tensorcore, "SIZE_BUDGET_BYTES", 16 * 16 * 16)
+        assert verify_scheme(example1_scheme(), n_samples=12, seed=1).passed
+        with pytest.raises(ValueError, match="over the size budget"):
+            verify_scheme(example1_scheme(), n_samples=13, seed=1)
+
+    def test_input_block_counts_when_wider_than_the_table(self, monkeypatch):
+        # (64,2,12): w = 64 amplitudes per input beat m*d*d = 48 table entries.
+        scheme = build_scheme(64, 2, 12)
+        monkeypatch.setattr(tensorcore, "SIZE_BUDGET_BYTES", 16 * 66 * 64)
+        assert verify_scheme(scheme, n_samples=2, seed=1).passed
+        monkeypatch.setattr(tensorcore, "SIZE_BUDGET_BYTES", 16 * 66 * 64 - 1)
+        with pytest.raises(ValueError, match="over the size budget"):
+            verify_scheme(scheme, n_samples=2, seed=1)
+
+    def test_refused_before_allocating(self):
+        scheme = example1_scheme()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="over the size budget"):
+                verify_scheme(scheme, n_samples=10**9, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
