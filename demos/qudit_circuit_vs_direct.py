@@ -2,7 +2,8 @@
 
 Route 1 applies the column map directly: |k> goes to the k-th entangled
 pair of 2-qutrit basis elements. Route 2 runs the controlled-gate circuit
-on the digit-encoded input. The outputs agree amplitude for amplitude.
+on the digit-encoded input. The outputs agree amplitude by amplitude to
+within rounding (a few 1e-16), though not bit for bit.
 """
 
 import numpy as np

@@ -147,7 +147,7 @@ def append_ancilla(state: StateVector, d: int, count: int) -> StateVector:
     """Extend the register by `count` ancilla parties of dimension d in |0>."""
     if d < 2 or count < 1:
         raise ValueError("need d >= 2 and count >= 1")
-    check_size_budget(1, state.dim * d**count)
+    check_size_budget(state.dim, d, count)
     anc = np.zeros(d ** count, dtype=complex)
     anc[0] = 1.0
     return StateVector(state.dims + (d,) * count, np.kron(state.amps, anc))

@@ -78,12 +78,13 @@ def build_scheme(w: int, d: int, m: int) -> MaskingScheme:
         raise ValueError("need w >= 2 and d >= 2")
     if m < 4:
         raise ValueError("only m >= 4 party registers are constructed")
-    if w > masking_capacity(d, m):
+    # d^floor(m/2) > w once the power passes w.bit_length(), so no larger power is formed.
+    if w > d ** min(m // 2, w.bit_length()):
         raise BoundViolationError(
             f"w={w} exceeds the masking capacity d^floor(m/2) = {masking_capacity(d, m)} "
             f"for d={d}, m={m}"
         )
-    check_size_budget(w, d**m)
+    check_size_budget(w, d, m)
     if m == 4:
         left = right = ghz_amplitudes(d, 2, two_qudit_labels(d, w))
     else:
@@ -135,33 +136,22 @@ def digit_encode(state: StateVector, d: int) -> StateVector:
 
 
 def qubit4_circuit() -> Circuit:
-    """The four-step 4-qubit masking circuit, acting on the digit-encoded
-    input extended by two |0> ancillas."""
-    return Circuit(
-        (2, 2, 2, 2),
-        (
-            controlled_power_gate(2, 0, 2),
-            controlled_power_gate(2, 1, 3),
-            fourier_gate(2, 0),
-            controlled_power_gate(2, 0, 1),
-            fourier_gate(2, 2),
-            controlled_power_gate(2, 2, 3),
-        ),
-    )
+    """The four-step 4-qubit masking circuit: qudit4_circuit(2)."""
+    return qudit4_circuit(2)
 
 
 def qudit4_circuit(d: int) -> Circuit:
-    """Qudit generalization of the 4-party circuit: two copying controlled
-    shifts, Fourier on parties 0 and 2, then two phase-spreading controlled
-    shifts."""
+    """The four-step 4-party masking circuit on the digit-encoded input and two
+    |0> ancillas: copy party 0 to 2, copy party 1 to 3, then on each half (0, 1)
+    and (2, 3) a Fourier gate and a phase-spreading controlled shift."""
     return Circuit(
         (d, d, d, d),
         (
             controlled_power_gate(d, 0, 2),
             controlled_power_gate(d, 1, 3),
             fourier_gate(d, 0),
-            fourier_gate(d, 2),
             controlled_power_gate(d, 0, 1),
+            fourier_gate(d, 2),
             controlled_power_gate(d, 2, 3),
         ),
     )

@@ -58,7 +58,7 @@ class MebCertification:
 def ghz_amplitudes(d: int, n_parties: int, labels) -> np.ndarray:
     """Amplitudes of the ghz_basis(d, n_parties) elements with the given
     labels, one row per label."""
-    check_size_budget(len(labels), d**n_parties)
+    check_size_budget(len(labels), d, n_parties)
     labels = np.asarray(labels, dtype=np.int64)
     s, t = np.divmod(labels, d ** (n_parties - 1))
     j = np.arange(d)
@@ -85,7 +85,7 @@ def two_qudit_meb(d: int) -> MebFamily:
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    check_size_budget(d * d, d * d)  # before the d^2 labels are built
+    check_size_budget(d * d, d, 2)  # before the d^2 labels are built
     return MebFamily(d, 2, FreshBlock(ghz_amplitudes(d, 2, two_qudit_labels(d, d * d))), range(d * d))
 
 
@@ -99,8 +99,9 @@ def ghz_basis(d: int, n_parties: int) -> MebFamily:
     """
     if d < 2 or n_parties < 2:
         raise ValueError("need d >= 2 and n_parties >= 2")
-    block = FreshBlock(ghz_amplitudes(d, n_parties, range(d**n_parties)))
-    return MebFamily(d, n_parties, block, range(d**n_parties))
+    check_size_budget(1, d, n_parties)  # before the d^n labels are built
+    labels = range(d**n_parties)
+    return MebFamily(d, n_parties, FreshBlock(ghz_amplitudes(d, n_parties, labels)), labels)
 
 
 def certify_meb(family: MebFamily) -> MebCertification:

@@ -174,15 +174,15 @@ def _check_densities(rho: np.ndarray) -> None:
         raise ValueError("matrix is not positive semidefinite within tolerance")
 
 
-def check_size_budget(rows: int, dim: int) -> None:
+def check_size_budget(rows: int, base: int, power: int = 1) -> None:
     """Raise ValueError, before anything is allocated, if `rows` states of
-    `dim` complex amplitudes exceed SIZE_BUDGET_BYTES."""
-    size = 16 * rows * dim
+    base**power complex amplitudes exceed SIZE_BUDGET_BYTES. A huge power is
+    never formed: at base >= 2, base**b is over the budget already for b the
+    budget's bit length, so the power is capped at b."""
+    size = 16 * rows * base ** min(power, SIZE_BUDGET_BYTES.bit_length())
     if size > SIZE_BUDGET_BYTES:
-        raise ValueError(
-            f"{rows} states of {dim} amplitudes need {size} bytes, "
-            f"over the size budget of {SIZE_BUDGET_BYTES} bytes"
-        )
+        dim = base if power == 1 else f"{base}^{power}"
+        raise ValueError(f"{rows} states of {dim} amplitudes are over the size budget of {SIZE_BUDGET_BYTES} bytes")
 
 
 def _marginals(amps: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:

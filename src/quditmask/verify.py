@@ -4,6 +4,7 @@ profiles for intermediate circuit states, and bound arithmetic."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ from .tensorcore import (
     partial_trace,
     reduced_densities,
 )
+
+PRINT_DIGITS = 4300  # Python's default limit on the decimal digits of a printed int
 
 
 @dataclass(frozen=True)
@@ -155,9 +158,13 @@ def leakage_profile(state: StateVector) -> LeakageProfile:
 def bounds_report(d: int, m: int, w_list: list[int] | tuple[int, ...] = ()) -> BoundsReport:
     """Exact integer arithmetic for build_scheme's capacity d^floor(m/2)
     versus the quantum Singleton bound d^(m-2), which bounds every masking
-    scheme, and a min-parties table."""
+    scheme, and a min-parties table. Raises ValueError if d^(m-2) has more
+    than PRINT_DIGITS decimal digits."""
     if d < 2 or m < 4:
         raise ValueError("need d >= 2 and m >= 4")
+    # 2^(4*PRINT_DIGITS) is already too long, so capping m-2 there keeps the float finite.
+    if min(m - 2, 4 * PRINT_DIGITS) * math.log10(d) >= PRINT_DIGITS:
+        raise ValueError(f"d^(m-2) = {d}^{m - 2} has more than {PRINT_DIGITS} digits, too many to print")
     masking_bound = masking_capacity(d, m)
     singleton_bound = d ** (m - 2)
     table = tuple((w, min_parties(w, d), min_parties(w, d) < 4) for w in w_list)

@@ -1,0 +1,96 @@
+"""A huge party count is refused at once: no d^m, d^floor(m/2) or d^(m-2)
+is formed before the size budget or the printable-digit limit refuses it.
+Each case runs in a subprocess with a timeout, so a regression fails
+instead of hanging the suite."""
+
+import contextlib
+import hashlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from quditmask import bounds_report, tensorcore
+from quditmask.cli import EXIT_BOUND_VIOLATION, EXIT_OK, EXIT_USAGE, main
+from quditmask.tensorcore import check_size_budget
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=10)
+
+
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        ("build --w 4 --d 3 --m 100000000", "4 states of 3^100000000 amplitudes are over the size budget"),
+        ("bounds --d 3 --m 100000000", "d^(m-2) = 3^99999998 has more than 4300 digits"),
+        ("build --w 4 --d 2 --m 1000000", "4 states of 2^1000000 amplitudes are over the size budget"),
+        ("bounds --d 2 --m 14300", "d^(m-2) = 2^14298 has more than 4300 digits"),
+        ("mask --w 4 --d 3 --m 100000000 --amps 1,0,0,0", "over the size budget"),
+        ("verify --w 4 --d 3 --m 100000000", "over the size budget"),
+    ],
+)
+def test_huge_m_exits_64_with_one_line(argv, reason):
+    result = _python("-m", "quditmask.cli", *argv.split())
+    assert result.returncode == EXIT_USAGE
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1 and result.stderr.startswith("quditmask: usage error: ")
+    assert reason in result.stderr
+
+
+def test_capacity_violation_still_wins_over_the_budget():
+    result = _python("-m", "quditmask.cli", "build", "--w", "1000000000", "--d", "2", "--m", "30")
+    assert result.returncode == EXIT_BOUND_VIOLATION
+    assert "d^floor(m/2) = 32768" in result.stderr
+
+
+@pytest.mark.parametrize("call", ["build_scheme(4, 3, 10**8)", "ghz_basis(2, 10**8)", "ghz_basis(3, 10**8)"])
+def test_library_refuses_huge_m(call):
+    probe = (
+        "import quditmask\n"
+        "try:\n"
+        f"    quditmask.{call}\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError', exc)\n"
+    )
+    result = _python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("ValueError") and "over the size budget" in result.stdout
+
+
+class TestBudgetPowers:
+    def test_power_is_capped_relative_to_the_budget(self, monkeypatch):
+        monkeypatch.setattr(tensorcore, "SIZE_BUDGET_BYTES", 2**40)
+        check_size_budget(1, 2, 36)  # exactly 2^40 bytes
+        with pytest.raises(ValueError, match=r"^1 states of 2\^37 amplitudes are over the size budget"):
+            check_size_budget(1, 2, 37)
+
+
+class TestBoundsDigits:
+    def test_largest_printable_bound(self):
+        assert bounds_report(10, 4301).singleton_bound == 10**4299
+        with pytest.raises(ValueError, match=r"^d\^\(m-2\) = 10\^4300 has more than 4300 digits"):
+            bounds_report(10, 4302)
+        assert len(str(bounds_report(2, 14286).singleton_bound)) == 4300
+        with pytest.raises(ValueError, match="too many to print"):
+            bounds_report(2, 14287)
+
+    def test_printable_output_unchanged(self):
+        # sha256 of the JSON then text output for every (d, m), recorded
+        # before the digit limit was added.
+        digest = hashlib.sha256()
+        for d in range(2, 11):
+            for m in range(4, 61):
+                for fmt in ("json", "text"):
+                    buf = io.StringIO()
+                    with contextlib.redirect_stdout(buf):
+                        code = main(["bounds", "--d", str(d), "--m", str(m), "--w", "2", "3", "1000", "--format", fmt])
+                    assert code == EXIT_OK
+                    digest.update(buf.getvalue().encode())
+        assert digest.hexdigest() == "96dce5549c3a7220126f08c761400921633aba71644b2a14d72b5e18ebe38faa"
