@@ -21,7 +21,7 @@ from .tensorcore import (
     StateVector,
     complex_pairs,
     max_distance_to_maximally_mixed,
-    reduced_densities,
+    party_marginals,
 )
 
 EXIT_OK = 0
@@ -116,7 +116,7 @@ def _cmd_mask(args) -> tuple[str, int]:
     # arguments run left to right, so a bound violation (exit 3) is still
     # reported before a malformed input (exit 64).
     masked = masker.mask(masker.build_scheme(args.w, args.d, args.m), _read_amplitudes(args, args.w))
-    marginals = [reduced_densities(masked.amps[None], masked.dims, [p])[0] for p in range(args.m)]
+    marginals = [rho[0] for rho in party_marginals(masked.amps[None], masked.dims)]
     if args.format == "json":
         doc = {
             "w": args.w,

@@ -11,7 +11,7 @@ import numpy as np
 
 from .gates import Circuit, apply, append_ancilla, controlled_power_gate, fourier_gate
 from .meb import ghz_amplitudes, two_qudit_labels
-from .tensorcore import FreshBlock, ShapeError, StateVector, check_size_budget, complex_pairs, gram_deviation, stack_states
+from .tensorcore import FreshBlock, ShapeError, StateVector, check_size_budget, complex_pairs, gram_deviation, stack_states, support
 
 
 class BoundViolationError(ValueError):
@@ -55,9 +55,7 @@ class MaskingScheme:
     def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(image, amplitude index, value) of each nonzero image entry, in
         row-major order; derived from the read-only `amps` on first use."""
-        idx = np.flatnonzero(self.amps != 0)  # a NaN entry is in the support
-        rows, cols = np.divmod(idx, self.amps.shape[1])
-        return rows, cols, self.amps.reshape(-1)[idx]
+        return support(self.amps)
 
 
 def masking_capacity(d: int, m: int) -> int:

@@ -16,7 +16,7 @@ from .tensorcore import (
     complex_pairs,
     gram_deviation,
     max_distance_to_maximally_mixed,
-    reduced_densities,
+    party_marginals,
     stack_states,
 )
 
@@ -106,10 +106,10 @@ def ghz_basis(d: int, n_parties: int) -> MebFamily:
 
 def certify_meb(family: MebFamily) -> MebCertification:
     """Check orthonormality, single-party maximal mixedness, and completeness."""
-    dims = (family.d,) * family.n_parties
     expected = family.d**family.n_parties
     gram_dev = gram_deviation(family.amps)
-    marg_devs = [max_distance_to_maximally_mixed(reduced_densities(family.amps, dims, [p])) for p in range(len(dims))]
+    marginals = party_marginals(family.amps, (family.d,) * family.n_parties)
+    marg_devs = [max_distance_to_maximally_mixed(rho) for rho in marginals]
     # np.max, unlike the builtin max, keeps NaN, so a NaN state fails the check.
     marg_dev = float(np.max(marg_devs, initial=0.0))
     return MebCertification(

@@ -20,7 +20,7 @@ from .tensorcore import (
     complex_pairs,
     max_distance_to_maximally_mixed,
     partial_trace,
-    reduced_densities,
+    party_marginals,
 )
 
 PRINT_DIGITS = 4300  # Python's default limit on the decimal digits of a printed int
@@ -140,8 +140,7 @@ def leakage_profile(state: StateVector) -> LeakageProfile:
     """Per-party marginals split into off-diagonal (coherence) and diagonal
     (population) leakage relative to the maximally mixed state."""
     parties = []
-    for party in range(state.n_parties):
-        rho = reduced_densities(state.amps[None], state.dims, [party])[0]
+    for party, (rho,) in enumerate(party_marginals(state.amps[None], state.dims)):
         d = rho.shape[0]
         off = rho - np.diag(np.diag(rho))
         parties.append(

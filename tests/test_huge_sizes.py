@@ -64,6 +64,31 @@ def test_library_refuses_huge_m(call):
     assert result.stdout.startswith("ValueError") and "over the size budget" in result.stdout
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        ("MaskingScheme(4, 3, 200000, np.zeros((4, 9)))", "ValueError image block shape (4, 9) != (4, 3^200000)"),
+        ("MebFamily(3, 200000, np.zeros((9, 9)), range(9))", "ValueError state block shape (9, 9) != (N, 3^200000)"),
+        ("MebFamily(3, 200000, (), ())", "ValueError a register of 3^200000 amplitudes is too large"),
+        ("StateVector((3,) * 200000, np.zeros(9))", "ShapeError amplitude length 9 != prod(dims) = 3^200000"),
+        ("StateVector((2, 3) * 100000, np.zeros(9))", "ShapeError amplitude length 9 != prod(dims) = a 200000-party product\n"),
+    ],
+)
+def test_many_parties_are_sized_without_forming_the_product(call, message):
+    probe = (
+        "import numpy as np\n"
+        "from quditmask import MaskingScheme, MebFamily, StateVector\n"
+        "try:\n"
+        f"    {call}\n"
+        "except ValueError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    result = _python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith(message)
+    assert result.stdout.count("\n") == 1
+
+
 class TestBudgetPowers:
     def test_power_is_capped_relative_to_the_budget(self, monkeypatch):
         monkeypatch.setattr(tensorcore, "SIZE_BUDGET_BYTES", 2**40)

@@ -1,0 +1,214 @@
+"""The support-pair kernel of tensorcore: the Gram deviation and the marginals
+of a large sparse block come from the pairs of its nonzero entries, and
+agree with the GEMM path and with the brute-force oracle."""
+
+import hashlib
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import partial_trace_oracle
+from quditmask import (
+    MaskingScheme,
+    MebFamily,
+    StateVector,
+    basis_state,
+    build_scheme,
+    certify_meb,
+    ghz_basis,
+    mask,
+    partial_trace,
+    verify_scheme,
+)
+from quditmask import tensorcore
+from quditmask.tensorcore import _marginals, _sparse_support, gram_deviation, party_marginals, reduced_densities, support
+
+
+def _gemm_gram_deviation(amps):
+    return float(np.abs(amps.conj() @ amps.T - np.eye(len(amps))).max(initial=0.0))
+
+
+def _pair_gram_deviation(amps):
+    """gram_deviation with the size and fill thresholds lifted, so any block takes the pairs."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tensorcore, "PAIR_MIN_ENTRIES", 0)
+        m.setattr(tensorcore, "PAIR_MAX_FILL", 1)
+        return gram_deviation(amps)
+
+
+@st.composite
+def sparse_stacks(draw):
+    """(amps, dims, keep): 1-4 unit rows on (d,)*n, each with a random support."""
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(2, 6 if d <= 3 else 4))
+    dim = d**n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = np.zeros((draw(st.integers(1, 4)), dim), dtype=complex)
+    for row in amps:
+        idx = rng.choice(dim, size=draw(st.integers(1, max(1, dim // 8))), replace=False)
+        row[idx] = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
+        row /= np.linalg.norm(row)
+    keep = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return amps, (d,) * n, keep
+
+
+class TestAgreesWithGemm:
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_stacks())
+    def test_marginals(self, case):
+        amps, dims, keep = case
+        pairs = _marginals(amps, dims, keep, support(amps))
+        gemm = _marginals(amps, dims, keep)
+        assert np.abs(pairs - gemm).max() <= 1e-15
+        if amps.shape[1] * len(pairs[0]) <= 4096:  # the oracle loops over D * dk entries
+            for rho, row in zip(pairs, amps):
+                assert np.abs(rho - partial_trace_oracle(row, dims, keep)).max() <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_stacks())
+    def test_gram_deviation(self, case):
+        amps = case[0]
+        assert abs(_pair_gram_deviation(amps) - _gemm_gram_deviation(amps)) <= 1e-15
+
+    @pytest.mark.parametrize("d,n", [(2, 8), (2, 9), (3, 5), (7, 3)])
+    def test_ghz_bases(self, d, n):
+        family = ghz_basis(d, n)
+        assert _sparse_support(family.amps) is not None
+        assert abs(gram_deviation(family.amps) - _gemm_gram_deviation(family.amps)) <= 1e-15
+        for p, rho in enumerate(party_marginals(family.amps, (d,) * n)):
+            assert np.abs(rho - _marginals(family.amps, (d,) * n, [p])).max() <= 1e-15
+
+
+class TestPathChoice:
+    def test_small_blocks_are_not_scanned(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("support scanned")
+
+        monkeypatch.setattr(tensorcore, "support", no_scan)
+        family = ghz_basis(2, 7)  # 2^14 entries, below PAIR_MIN_ENTRIES
+        assert certify_meb(family).passed
+
+    def test_dense_haar_block_takes_the_gemm(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        amps = rng.standard_normal((8, 2**13)) + 1j * rng.standard_normal((8, 2**13))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+
+        def no_pairs(*args):
+            raise AssertionError("pair kernel on a dense block")
+
+        monkeypatch.setattr(tensorcore, "_pair_sums", no_pairs)
+        assert gram_deviation(amps) == _gemm_gram_deviation(amps)
+        reduced_densities(amps, (2,) * 13, [0, 5])
+
+    def test_sparse_large_block_takes_the_pairs(self):
+        amps = build_scheme(4, 2, 16).amps
+        assert _sparse_support(amps) is not None
+
+    def test_pairs_over_the_budget_fall_back_to_the_gemm(self, monkeypatch):
+        family = ghz_basis(2, 9)
+        monkeypatch.setattr(tensorcore, "SIZE_BUDGET_BYTES", 1)
+        assert gram_deviation(family.amps) == _gemm_gram_deviation(family.amps)
+        for p, rho in enumerate(party_marginals(family.amps, (2,) * 9)):
+            assert rho.tobytes() == _marginals(family.amps, (2,) * 9, [p]).tobytes()
+
+
+class TestBits:
+    def test_a_row_gets_the_same_bits_alone_and_in_a_stack(self):
+        scheme = build_scheme(4, 2, 16)
+        rng = np.random.default_rng(11)
+        inputs = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(5)]
+        stack = np.array([mask(scheme, StateVector((4,), a / np.linalg.norm(a))).amps for a in inputs])
+        dims = (2,) * 16
+        assert _sparse_support(stack) is not None and _sparse_support(stack[:1]) is not None
+        for keep in ([0], [3], [15], [2, 9]):
+            stacked = reduced_densities(stack, dims, keep)
+            for row, rho in zip(stack, stacked):
+                assert rho.tobytes() == reduced_densities(row[None], dims, keep)[0].tobytes()
+                assert rho.tobytes() == partial_trace(StateVector(dims, row), keep).mat.tobytes()
+        for p, rhos in enumerate(party_marginals(stack, dims)):
+            assert rhos.tobytes() == reduced_densities(stack, dims, [p]).tobytes()
+
+
+class TestNonFinite:
+    def test_nan_entry_fails_certify_meb_without_raising(self):
+        amps = ghz_basis(2, 9).amps.copy()
+        amps[7, np.flatnonzero(amps[7])[0]] = np.nan
+        cert = certify_meb(MebFamily(2, 9, amps, range(512)))
+        assert not cert.passed
+        assert np.isnan(cert.max_gram_deviation) and np.isnan(cert.max_marginal_deviation)
+
+    def test_nan_entry_fails_verify_scheme_without_raising(self):
+        amps = build_scheme(4, 2, 16).amps.copy()
+        amps[2, np.flatnonzero(amps[2])[1]] = np.nan
+        report = verify_scheme(MaskingScheme(4, 2, 16, amps), n_samples=2, seed=1)
+        assert not report.passed
+        assert np.isnan(report.isometry_gram_deviation)
+        assert not report.checks["isometry_gram"].passed
+
+    def test_all_zero_row_has_gram_deviation_one(self):
+        amps = ghz_basis(2, 9).amps.copy()
+        amps[100] = 0
+        assert _sparse_support(amps) is not None
+        assert gram_deviation(amps) == 1.0
+        assert certify_meb(MebFamily(2, 9, amps, range(512))).max_gram_deviation == 1.0
+
+
+class TestMemory:
+    def test_sparse_gram_holds_no_conjugated_copy(self):
+        amps = build_scheme(4, 2, 18).amps
+        tracemalloc.start()
+        try:
+            gram_deviation(amps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * amps.nbytes
+
+
+# The benchmark's certify grid, two seeds each, and its two negative controls.
+CERTIFY_GRID = ((9, 3, 4), (16, 2, 8), (64, 2, 12), (81, 3, 8), (125, 5, 6))
+
+
+def _certify_grid_schemes():
+    schemes = [(build_scheme(*wdm), seed) for wdm in CERTIFY_GRID for seed in (1, 2)]
+    amps = build_scheme(81, 3, 8).amps.copy()
+    amps[0, 0] += 1e-6
+    amps[0] /= np.linalg.norm(amps[0])
+    schemes.append((MaskingScheme(81, 3, 8, amps, "tilted"), 3))
+    dims = (3, 3, 3, 3)
+    product = [basis_state(dims, np.unravel_index(idx, dims)) for idx in (2, 17, 30, 41, 44, 52, 60, 71, 80)]
+    schemes.append((MaskingScheme(9, 3, 4, product, "product"), 4))
+    return schemes
+
+
+def _sha256(doc) -> str:
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+def test_certify_grid_keeps_every_marginal_bit():
+    """Every marginal key of the certify grid has the bits of the GEMM-only
+    code (digests recorded from it). The isometry Gram keeps its bits too,
+    except where the block takes the pairs and the sum order moved it:
+    (125, 5, 6) and the tilted control, which stay within 1e-15 of the GEMM."""
+    schemes = _certify_grid_schemes()
+    reports = [verify_scheme(scheme, n_samples=50, seed=seed) for scheme, seed in schemes]
+    marginal_keys = [
+        [
+            [x.hex() for x in r.per_party_max_deviation],
+            [x.hex() for x in r.cross_input_max_variation],
+            [r.checks[k].value.hex() for k in ("marginals_maximally_mixed", "marginals_input_independent")],
+        ]
+        for r in reports
+    ]
+    assert _sha256(marginal_keys) == "ca45a4aadfb445b756a55723b1c927ab25d494ee173bde835772864ab32fefdf"
+    moved = {8, 9, 10}
+    grams = [r.isometry_gram_deviation.hex() for i, r in enumerate(reports) if i not in moved]
+    assert _sha256(grams) == "7d399ad9348ae606cffbfc0e1f69333ccb9cdf2d0f8df88b0622e95eb2ec9ac8"
+    for i in moved:
+        gram = reports[i].isometry_gram_deviation
+        assert reports[i].checks["isometry_gram"].value == gram
+        assert abs(gram - _gemm_gram_deviation(schemes[i][0].amps)) <= 1e-15
