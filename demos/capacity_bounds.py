@@ -10,12 +10,12 @@ hold fewer levels than the Singleton bound allows.
 
 from quditmask import bounds_report, min_parties
 
-print(f"{'d':>3} {'m':>3} {'masking':>10} {'singleton':>12}")
+print(f"{'d':>3} {'m':>3} {'capacity':>10} {'singleton':>12}")
 for d in (2, 3, 4):
     for m in (4, 5, 6, 8):
         r = bounds_report(d, m)
-        marker = "=" if r.masking_bound == r.singleton_bound else "<"
-        print(f"{d:>3} {m:>3} {r.masking_bound:>10} {marker} {r.singleton_bound:>10}")
+        marker = "=" if r.construction_capacity == r.singleton_bound else "<"
+        print(f"{d:>3} {m:>3} {r.construction_capacity:>10} {marker} {r.singleton_bound:>10}")
 
 print("\nminimum parties 2*ceil(log_d w) for qubit registers:")
 for w in (2, 3, 4, 5, 8, 16, 100):

@@ -71,7 +71,7 @@ def _read_amplitudes(args, w: int) -> StateVector:
     elif args.input is not None:
         try:
             with open(args.input) as fh:
-                lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+                lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
             values = []
             for ln in lines:
                 parts = ln.split()
@@ -176,9 +176,8 @@ def _cmd_bounds(args) -> tuple[str, int]:
     else:
         lines = [
             f"d={report.d} m={report.m}",
-            f"masking bound d^floor(m/2) = {report.masking_bound}",
+            f"construction capacity d^floor(m/2) = {report.construction_capacity}",
             f"singleton bound d^(m-2) = {report.singleton_bound}",
-            f"tighter: {report.tighter}",
         ]
         for w, p, flag in report.min_parties_table:
             note = "  (constructions require m >= 4)" if flag else ""
@@ -205,16 +204,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mask", help="mask an input state and report marginals")
     common(p)
-    p.add_argument("--input", default=None, help="amplitude file, one 're im' pair per line")
-    p.add_argument("--amps", default=None, help="inline amplitudes, e.g. '0.5,0.5,0.5,0.5'")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--input", default=None, help="amplitude file, one 're im' pair per line")
+    source.add_argument("--amps", default=None, help="inline amplitudes, e.g. '0.5,0.5,0.5,0.5'")
     p.add_argument("--renormalize", action="store_true")
     p.set_defaults(func=_cmd_mask)
 
     p = sub.add_parser("circuit", help="emit (or apply) the 4-party masking circuit")
     common(p, with_scheme=False)
     p.add_argument("--apply", default=None, help="circuit text file to apply instead of the built-in one")
-    p.add_argument("--input", default=None, help="amplitude file for the d^2-level input")
-    p.add_argument("--amps", default=None, help="inline input amplitudes")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--input", default=None, help="amplitude file for the d^2-level input")
+    source.add_argument("--amps", default=None, help="inline input amplitudes")
     p.add_argument("--renormalize", action="store_true")
     p.set_defaults(func=_cmd_circuit)
 
@@ -224,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("bounds", help="masking capacity vs the quantum Singleton bound")
+    p = sub.add_parser("bounds", help="construction capacity d^floor(m/2) vs the quantum Singleton bound d^(m-2)")
     common(p, with_scheme=False)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--w", type=int, nargs="*", default=[])

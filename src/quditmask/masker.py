@@ -15,8 +15,8 @@ from .tensorcore import FreshBlock, ShapeError, StateVector, check_size_budget, 
 
 
 class BoundViolationError(ValueError):
-    """Requested input level count exceeds a masking bound: d^floor(m/2) for
-    build_scheme's construction, the quantum Singleton bound d^(m-2) for any
+    """Requested input level count exceeds a bound: the construction capacity
+    d^floor(m/2) for build_scheme, the quantum Singleton bound d^(m-2) for any
     MaskingScheme."""
 
 

@@ -73,10 +73,6 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
     @property
-    def n_parties(self) -> int:
-        return len(self.dims)
-
-    @property
     def dim(self) -> int:
         return self.amps.size
 
@@ -158,26 +154,6 @@ class DensityMatrix:
 
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
-
-    def purity(self) -> float:
-        return float(np.trace(self.mat @ self.mat).real)
-
-
-def tensor_product(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product a (x) b; parties of `a` come first."""
-    return StateVector(a.dims + b.dims, np.kron(a.amps, b.amps))
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.dims != b.dims:
-        raise ShapeError(f"dims mismatch: {a.dims} vs {b.dims}")
-    return complex(np.vdot(a.amps, b.amps))
-
-
-def density_of(state: StateVector) -> DensityMatrix:
-    """Rank-1 projector |state><state|."""
-    return DensityMatrix(state.dim, np.outer(state.amps, state.amps.conj()))
 
 
 def _check_densities(rho: np.ndarray) -> None:
@@ -345,11 +321,6 @@ def max_distance_to_maximally_mixed(mats: np.ndarray) -> float:
     NaN if any entry is NaN."""
     d = mats.shape[-1]
     return float(np.abs(mats - np.eye(d) / d).max(initial=0.0))
-
-
-def distance_to_maximally_mixed(rho: DensityMatrix) -> float:
-    """Max-entry norm of rho - I/dim; zero iff maximally mixed."""
-    return max_distance_to_maximally_mixed(rho.mat)
 
 
 def gram_deviation(amps: np.ndarray) -> float:

@@ -78,11 +78,13 @@ class LeakageProfile:
 
 @dataclass(frozen=True)
 class BoundsReport:
+    """The constructions' capacity d^floor(m/2) and the quantum Singleton
+    bound d^(m-2), which bounds every masking scheme."""
+
     d: int
     m: int
-    masking_bound: int
+    construction_capacity: int
     singleton_bound: int
-    tighter: bool
     min_parties_table: tuple[tuple[int, int, bool], ...]
 
 
@@ -164,15 +166,12 @@ def bounds_report(d: int, m: int, w_list: list[int] | tuple[int, ...] = ()) -> B
     # 2^(4*PRINT_DIGITS) is already too long, so capping m-2 there keeps the float finite.
     if min(m - 2, 4 * PRINT_DIGITS) * math.log10(d) >= PRINT_DIGITS:
         raise ValueError(f"d^(m-2) = {d}^{m - 2} has more than {PRINT_DIGITS} digits, too many to print")
-    masking_bound = masking_capacity(d, m)
-    singleton_bound = d ** (m - 2)
     table = tuple((w, min_parties(w, d), min_parties(w, d) < 4) for w in w_list)
     return BoundsReport(
         d=d,
         m=m,
-        masking_bound=masking_bound,
-        singleton_bound=singleton_bound,
-        tighter=masking_bound <= singleton_bound,
+        construction_capacity=masking_capacity(d, m),
+        singleton_bound=d ** (m - 2),
         min_parties_table=table,
     )
 
@@ -199,9 +198,8 @@ def bounds_report_to_json_dict(report: BoundsReport) -> dict:
     return {
         "d": report.d,
         "m": report.m,
-        "masking_bound": report.masking_bound,
+        "construction_capacity": report.construction_capacity,
         "singleton_bound": report.singleton_bound,
-        "tighter": report.tighter,
         "min_parties_table": [
             {"w": w, "min_parties": p, "below_constructed_m": flag}
             for w, p, flag in report.min_parties_table

@@ -20,7 +20,6 @@ from quditmask import (
     digit_encode,
     ghz_basis,
     haar_random_state,
-    inner_product,
     leakage_profile,
     mask,
     min_parties,
@@ -155,8 +154,9 @@ def test_criterion_4_four_qudit_schemes_and_circuits():
             rng = np.random.default_rng(100 + d)
             for _ in range(50):
                 x = haar_random_state(d * d, rng)
-                fid = abs(inner_product(circuit_mask(d, x), mask(scheme, x)))
-                assert fid >= 1 - 1e-10
+                via_circuit, direct = circuit_mask(d, x), mask(scheme, x)
+                assert via_circuit.dims == direct.dims
+                assert abs(np.vdot(via_circuit.amps, direct.amps)) >= 1 - 1e-10
 
 
 def test_criterion_5_general_party_counts():
@@ -201,8 +201,8 @@ def test_criterion_7_bound_arithmetic():
         for d in range(2, 17):
             for m in range(4, 17):
                 report = bounds_report(d, m)
-                assert report.masking_bound <= report.singleton_bound
-                assert (report.masking_bound == report.singleton_bound) == (m == 4)
+                assert report.construction_capacity <= report.singleton_bound
+                assert (report.construction_capacity == report.singleton_bound) == (m == 4)
         assert min_parties(4, 2) == 4
         assert min_parties(8, 2) == 6
         for d in range(2, 17):
@@ -242,7 +242,7 @@ def test_criterion_8_oracle_equivalence():
                 x = haar_random_state(scheme.w, rng)
                 y = haar_random_state(scheme.w, rng)
                 assert abs(
-                    inner_product(mask(scheme, x), mask(scheme, y)) - inner_product(x, y)
+                    np.vdot(mask(scheme, x).amps, mask(scheme, y).amps) - np.vdot(x.amps, y.amps)
                 ) <= 1e-11
 
 

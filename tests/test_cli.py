@@ -270,9 +270,8 @@ class TestBounds:
         assert doc == {
             "d": 2,
             "m": 6,
-            "masking_bound": 8,
+            "construction_capacity": 8,
             "singleton_bound": 16,
-            "tighter": True,
             "min_parties_table": [],
         }
 
@@ -294,7 +293,7 @@ class TestUsage:
         code, out, _ = run(capsys, "bounds", "--d", "2", "--m", "6", "--output", "b.json")
         assert code == EXIT_OK
         assert out == ""
-        assert json.loads((tmp_path / "b.json").read_text())["masking_bound"] == 8
+        assert json.loads((tmp_path / "b.json").read_text())["construction_capacity"] == 8
 
 
 class TestMaskingFailureExit:
@@ -387,9 +386,8 @@ class TestTextFormatGoldens:
         assert code == EXIT_OK
         assert out == (
             "d=2 m=4\n"
-            "masking bound d^floor(m/2) = 4\n"
+            "construction capacity d^floor(m/2) = 4\n"
             "singleton bound d^(m-2) = 4\n"
-            "tighter: True\n"
             "w=4: min parties 4\n"
             "w=17: min parties 10\n"
         )
@@ -411,6 +409,27 @@ class TestInlineAmplitudeErrors:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.count("\n") == 1 and message in err
+
+
+class TestAmplitudeSource:
+    @pytest.mark.parametrize("command", CLI_INPUTS)
+    def test_amps_and_input_are_exclusive(self, capsys, tmp_path, command):
+        path = tmp_path / "input.txt"
+        path.write_text("1 0\n0 0\n0 0\n0 0\n")
+        with pytest.raises(SystemExit) as exc:
+            main([*CLI_INPUTS[command], "--amps", "1,0,0,0", "--input", str(path)])
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "not allowed with argument" in err
+
+    @pytest.mark.parametrize("command", CLI_INPUTS)
+    def test_indented_comment_lines_are_skipped(self, capsys, tmp_path, command):
+        path = tmp_path / "input.txt"
+        path.write_text("  # note\n0.5 0\n\t# tab\n0.5 0\n 0.5 0\n0.5 0  \n")
+        code, out, err = run(capsys, *CLI_INPUTS[command], "--input", str(path))
+        assert code == EXIT_OK and err == ""
+        assert out == run(capsys, *CLI_INPUTS[command], "--amps", "0.5,0.5,0.5,0.5")[1]
 
 
 def _complex_amps(w):

@@ -9,13 +9,10 @@ from quditmask import (
     StateVector,
     basis_state,
     build_scheme,
-    density_of,
-    distance_to_maximally_mixed,
     ghz_basis,
-    inner_product,
+    haar_random_state,
     leakage_profile,
     partial_trace,
-    tensor_product,
     two_qudit_meb,
 )
 from quditmask.tensorcore import (
@@ -32,6 +29,16 @@ BELL = StateVector((2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2))
 def random_state(dims, rng):
     amps = rng.standard_normal(int(np.prod(dims))) + 1j * rng.standard_normal(int(np.prod(dims)))
     return StateVector(tuple(dims), amps / np.linalg.norm(amps))
+
+
+def joint(a, b):
+    """a (x) b on a.dims + b.dims; parties of `a` come first."""
+    return StateVector(a.dims + b.dims, np.kron(a.amps, b.amps))
+
+
+def projector(state):
+    """|state><state| as a validated DensityMatrix."""
+    return DensityMatrix(state.dim, np.outer(state.amps, state.amps.conj()))
 
 
 class TestStateVector:
@@ -59,14 +66,15 @@ class TestStateVector:
 
 
 class TestTensorProduct:
+    """np.kron of the parties' amplitudes is the joint state, big-endian."""
+
     def test_basis_kets(self):
-        zero = basis_state((2,), (0,))
-        out = tensor_product(zero, zero)
-        assert np.allclose(out.amps, [1, 0, 0, 0])
-        assert out.dims == (2, 2)
+        out = joint(basis_state((2,), (0,)), basis_state((3,), (2,)))
+        assert out.dims == (2, 3)
+        assert out.amps.tobytes() == basis_state((2, 3), (0, 2)).amps.tobytes()
 
     def test_bell_pair_of_bell_pairs(self):
-        out = tensor_product(BELL, BELL)
+        out = joint(BELL, BELL)
         expected = state_from_kets(
             {"0000": 0.5, "0011": 0.5, "1100": 0.5, "1111": 0.5}, (2, 2, 2, 2)
         )
@@ -78,58 +86,51 @@ class TestTensorProduct:
         rng = np.random.default_rng(seed)
         a = StateVector((3,), rng.standard_normal(3) + 1j * rng.standard_normal(3))
         b = StateVector((2, 2), rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        out = tensor_product(a, b)
-        assert np.isclose(out.norm(), a.norm() * b.norm(), atol=1e-12)
+        assert np.isclose(joint(a, b).norm(), a.norm() * b.norm(), atol=1e-12)
 
 
 class TestInnerProduct:
+    """Overlaps of the package's states, as np.vdot of their amplitudes."""
+
     def test_orthogonal_basis_states(self):
         zero, one = basis_state((2,), (0,)), basis_state((2,), (1,))
-        assert inner_product(zero, one) == 0
+        assert np.vdot(zero.amps, one.amps) == 0
 
     def test_meb_elements_orthogonal_at_d3(self):
-        # expected value from the direct formula evaluation
-        psi0 = StateVector((3, 3), two_qudit_meb_state_oracle(3, 0))
-        psi1 = StateVector((3, 3), two_qudit_meb_state_oracle(3, 1))
-        assert abs(inner_product(psi0, psi1)) <= 1e-13
+        family = two_qudit_meb(3)
+        for k in (0, 1):
+            assert np.allclose(family.states[k].amps, two_qudit_meb_state_oracle(3, k), atol=1e-15)
+        assert abs(np.vdot(family.states[0].amps, family.states[1].amps)) <= 1e-13
 
     def test_normalized_self_product(self):
-        rng = np.random.default_rng(7)
-        psi = random_state((2, 3), rng)
-        assert np.isclose(inner_product(psi, psi), 1.0, atol=1e-12)
-
-    @given(st.integers(0, 2 ** 31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_conjugate_symmetry(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b = random_state((2, 2), rng), random_state((2, 2), rng)
-        assert np.isclose(inner_product(a, b), np.conj(inner_product(b, a)), atol=1e-14)
-
-    def test_dims_mismatch(self):
-        with pytest.raises(ShapeError):
-            inner_product(basis_state((2,), (0,)), basis_state((3,), (0,)))
+        psi = haar_random_state(6, np.random.default_rng(7))
+        assert np.isclose(np.vdot(psi.amps, psi.amps), 1.0, atol=1e-12)
 
 
 class TestDensityOf:
+    """A pure state's marginals, against their projectors."""
+
     def test_basis_state_projector(self):
-        rho = density_of(basis_state((2,), (0,)))
-        assert np.allclose(rho.mat, np.diag([1.0, 0.0]))
+        rho = partial_trace(basis_state((2, 3), (0, 2)), [0])
+        assert rho.mat.tobytes() == projector(basis_state((2,), (0,))).mat.tobytes()
 
     def test_plus_state(self):
         plus = StateVector((2,), np.array([1, 1]) / np.sqrt(2))
-        assert np.allclose(density_of(plus).mat, np.full((2, 2), 0.5))
+        assert np.allclose(partial_trace(joint(plus, basis_state((3,), (1,))), [0]).mat, np.full((2, 2), 0.5))
 
     def test_pure_state_purity(self):
         rng = np.random.default_rng(3)
         for dims in [(2,), (2, 3), (4, 2)]:
-            rho = density_of(random_state(dims, rng))
-            assert np.isclose(rho.purity(), 1.0, atol=1e-12)
+            psi = random_state(dims, rng)
+            rho = partial_trace(psi, range(len(dims)))
+            assert np.allclose(rho.mat, projector(psi).mat, atol=1e-15)
+            assert np.isclose(np.trace(rho.mat @ rho.mat).real, 1.0, atol=1e-12)
             assert np.isclose(rho.trace(), 1.0, atol=1e-12)
 
 
 class TestPartialTrace:
     def test_bell_pair_pair_marginal_is_maximally_mixed(self):
-        psi = tensor_product(BELL, BELL)
+        psi = joint(BELL, BELL)
         rho = partial_trace(psi, [0])
         assert np.allclose(rho.mat, np.eye(2) / 2, atol=1e-14)
 
@@ -194,9 +195,9 @@ class TestPartialTrace:
         rng = np.random.default_rng(5)
         psi = random_state((2, 3), rng)
         phi = StateVector((2, 2), 0.5 * random_state((2, 2), rng).amps)
-        joint = tensor_product(psi, phi)
+        both = joint(psi, phi)
         for party in range(2):
-            lhs = partial_trace(joint, [party]).mat
+            lhs = partial_trace(both, [party]).mat
             rhs = partial_trace(psi, [party]).mat * (phi.norm() ** 2)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
@@ -249,18 +250,18 @@ class TestReducedDensities:
 
 class TestDistanceToMaximallyMixed:
     def test_maximally_mixed_is_zero(self):
-        assert distance_to_maximally_mixed(partial_trace(BELL, [0])) == pytest.approx(0, abs=1e-15)
+        assert max_distance_to_maximally_mixed(partial_trace(BELL, [0]).mat) == pytest.approx(0, abs=1e-15)
 
     def test_pure_marginal(self):
-        rho = density_of(basis_state((2,), (0,)))
-        assert distance_to_maximally_mixed(rho) == pytest.approx(0.5)
+        rho = partial_trace(basis_state((2, 2), (0, 1)), [0])
+        assert max_distance_to_maximally_mixed(rho.mat) == pytest.approx(0.5)
 
     def test_meb_marginals_at_d4(self):
         # every element of the 2-qudit family at d=4 has I/4 marginals
         for k in range(16):
             psi = StateVector((4, 4), two_qudit_meb_state_oracle(4, k))
             for party in (0, 1):
-                assert distance_to_maximally_mixed(partial_trace(psi, [party])) <= 1e-12
+                assert max_distance_to_maximally_mixed(partial_trace(psi, [party]).mat) <= 1e-12
 
 
 class TestStackStates:
@@ -299,7 +300,7 @@ class TestStackStates:
 
 EQUALITY_CASES = {
     "StateVector": lambda: StateVector((2,), [1, 0]),
-    "DensityMatrix": lambda: density_of(BELL),
+    "DensityMatrix": lambda: projector(BELL),
     "partial_trace": lambda: partial_trace(BELL, [0]),
     "MaskingScheme": lambda: build_scheme(4, 2, 4),
     "MebFamily": lambda: two_qudit_meb(2),

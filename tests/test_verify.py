@@ -154,13 +154,12 @@ class TestLeakageProfile:
 class TestBoundsReport:
     def test_six_qubit_case(self):
         report = bounds_report(2, 6)
-        assert report.masking_bound == 8
+        assert report.construction_capacity == 8
         assert report.singleton_bound == 16
-        assert report.tighter
 
     def test_equality_at_four_parties(self):
         report = bounds_report(3, 4)
-        assert report.masking_bound == report.singleton_bound == 9
+        assert report.construction_capacity == report.singleton_bound == 9
 
     def test_min_parties_table(self):
         report = bounds_report(2, 4, [2, 3, 4])
@@ -168,12 +167,12 @@ class TestBoundsReport:
         for w, p, _ in report.min_parties_table:
             assert p == min_parties_oracle(w, 2)
 
-    def test_masking_bound_never_exceeds_singleton_bound(self):
+    def test_construction_capacity_never_exceeds_singleton_bound(self):
         for d in range(2, 17):
             for m in range(4, 17):
                 report = bounds_report(d, m)
-                assert report.masking_bound <= report.singleton_bound
-                assert (report.masking_bound == report.singleton_bound) == (m == 4)
+                assert report.construction_capacity <= report.singleton_bound
+                assert (report.construction_capacity == report.singleton_bound) == (m == 4)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
