@@ -62,9 +62,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(operator.index(d) for d in self.dims)
-        if any(d < 2 for d in dims):
-            raise ValueError(f"every party dimension must be >= 2, got {dims}")
+        dims = _register_dims(self.dims)
         amps = np.asarray(self.amps, dtype=complex).reshape(-1)
         if _capped_prod(dims, amps.size) != amps.size:
             raise ShapeError(f"amplitude length {amps.size} != prod(dims) = {_size_name(dims)}")
@@ -82,6 +80,14 @@ class StateVector:
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per party (read-only view)."""
         return self.amps.reshape(self.dims)
+
+
+def _register_dims(dims) -> tuple[int, ...]:
+    """dims as a tuple of Python ints, each >= 2; a float raises TypeError."""
+    dims = tuple(operator.index(d) for d in dims)
+    if any(d < 2 for d in dims):
+        raise ValueError(f"every party dimension must be >= 2, got {dims}")
+    return dims
 
 
 def basis_state(dims: list[int] | tuple[int, ...], digits: list[int] | tuple[int, ...]) -> StateVector:
@@ -132,8 +138,14 @@ def stack_states(states, dims: tuple[int, ...], count: int | None, noun: str) ->
             row[:] = s.amps
     if amps.ndim != 2 or _capped_prod(dims, amps.shape[1]) != amps.shape[1] or count not in (None, len(amps)):
         raise ValueError(f"{noun} block shape {amps.shape} != ({'N' if count is None else count}, {_size_name(dims)})")
+    # The dims are checked once for the block, with or without rows, and
+    # each row's view is made without a second check.
+    dims = _register_dims(dims)
     amps.flags.writeable = False
-    return amps, tuple(StateVector(dims, row) for row in amps)
+    views = tuple(object.__new__(StateVector) for _ in range(len(amps)))
+    for view, row in zip(views, amps):
+        view.__dict__.update(dims=dims, amps=row)
+    return amps, views
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,6 +177,14 @@ def _check_densities(rho: np.ndarray) -> None:
     if np.abs(rho - rho_h).max(initial=0.0) > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     herm = (rho + rho_h) / 2
+    # Gershgorin: no eigenvalue of a matrix lies below min_i (h_ii - the sum
+    # of |h_ij| over j != i), and 2 h_ii - sum_j |h_ij| is that bound, or
+    # lower where h_ii < 0. Matrices whose rows all clear the tolerance need
+    # no eigvalsh; the rest, non-finite ones included, go on as before.
+    bound = 2 * herm.real.diagonal(0, 1, 2) - np.einsum("nij->ni", np.abs(herm))
+    if bound.min(initial=np.inf) >= -PSD_TOL:
+        return
+    herm = herm[~(bound >= -PSD_TOL).all(axis=1)]
     if not np.isfinite(herm).all():
         # LAPACK fails on a non-finite matrix, so those are left out; their
         # NaN entries fail every deviation check downstream.
@@ -204,10 +224,18 @@ def support(amps: np.ndarray, nonzero: np.ndarray | None = None) -> tuple[np.nda
 #   4 rows of build_scheme(4, 2, 14), 2^16 entries: 161 vs 181 us;
 # - a random support at fill 1/32, the worst admitted: partial_trace on 2^15
 #   entries 185 vs 455 us and on 2^18 1.1 vs 1.6 ms, the Gram of 16 rows of
-#   2^14 1.3 vs 2.4 ms, but party_marginals 1.4 vs 0.8 ms per party there.
+#   2^14 1.3 vs 2.4 ms, but party_marginals 2.9 vs 0.9 ms per party there
+#   (re-measured with the parties batched under PAIR_CALL_ENTRIES).
 PAIR_MIN_ENTRIES = 2**15
 PAIR_MAX_FILL = 32
 PAIR_BYTES = 96  # working bytes per ordered pair in _pair_sums (tracemalloc: 74 to 93)
+# The most support entries, over all its keep-sets, that one _pair_sums call
+# of the marginals reads. Fewer calls save per-call overhead, but past about
+# 2^14 entries the call's arrays outgrow a 2 MB L2 cache. party_marginals of
+# 16 random rows of 2^14 at fill 1/32 (8192 entries a party; same machine,
+# best of 41): 0.75 ms a party with one party a call, 1.4 ms with all 14 in
+# one call, and as fast as one party a call at 2^14 entries a call.
+PAIR_CALL_ENTRIES = 2**14
 
 
 def _sparse_support(amps: np.ndarray):
@@ -222,11 +250,11 @@ def _sparse_support(amps: np.ndarray):
     return support(amps, nonzero)
 
 
-def _pair_sums(keys, left, right, vals, width: int):
+def _pair_sums(keys, left, right, vals):
     """(bins, sums) over every ordered pair (i, j) of entries with equal
-    keys: the bins left[i] * width + right[j] that some pair reaches, in
-    ascending order, and each bin's sum of vals[i] * conj(vals[j]). None if
-    the pairs are over the size budget. Entries come sorted by key.
+    keys: the bins left[i] + right[j] that some pair reaches, in ascending
+    order, and each bin's sum of vals[i] * conj(vals[j]). None if the pairs
+    are over the size budget. Entries come sorted by key.
 
     Each bin sums its pairs in entry order (np.bincount adds in input order),
     so the bins of one row get the same bits alone or in a stack."""
@@ -241,7 +269,7 @@ def _pair_sums(keys, left, right, vals, width: int):
     # Entry i's pairs run from offset[i]; its partners from its group's start.
     offset = np.cumsum(per_entry) - per_entry
     j = np.arange(n_pairs) - np.repeat(offset - np.flatnonzero(first)[group], per_entry)
-    bins, inverse = np.unique(left[i] * width + right[j], return_inverse=True)
+    bins, inverse = np.unique(left[i] + right[j], return_inverse=True)
     prod = vals[i] * vals[j].conj()
     sums = np.empty(len(bins), dtype=complex)
     sums.real = np.bincount(inverse, prod.real, len(bins))
@@ -249,37 +277,80 @@ def _pair_sums(keys, left, right, vals, width: int):
     return bins, sums
 
 
-def _marginals(amps: np.ndarray, dims: tuple[int, ...], keep, sup=None) -> np.ndarray:
-    """The (N, dk, dk) marginals of reduced_densities, unchecked: from the
-    pairs of the support `sup` when given and within budget, else one GEMM."""
-    dims = tuple(dims)
-    keep = sorted(set(map(int, keep)))
-    if not keep:
-        raise ValueError("keep-set must be non-empty")
-    if keep[0] < 0 or keep[-1] >= len(dims):
-        raise ValueError(f"keep-set {keep} out of range for {len(dims)} parties")
-    n, d_keep = len(amps), math.prod(dims[i] for i in keep)
-    if sup is not None:
-        rows, cols, vals = sup
-        # Split each column into its kept index and its rest (the column with
-        # the kept digits zeroed); entries sharing (row, rest) pair up.
-        kept, group = np.zeros_like(cols), rows * amps.shape[1] + cols
+def _pair_marginals(amps: np.ndarray, dims: tuple[int, ...], keeps, sup):
+    """The (N, dk, dk) marginals of an (N, D) block on each keep-set of
+    `keeps`, from one _pair_sums call over the support `sup`; None if the
+    pairs are over the size budget.
+
+    Each column splits into its kept index and its rest (the column with the
+    kept digits zeroed); entries sharing (keep-set, row, rest) pair up. The
+    stable sort keeps each keep-set's entries in the order they have alone,
+    and each keep-set's bins lie past the previous one's, so every marginal
+    gets the bits it gets with its keep-set alone."""
+    rows, cols, vals = sup
+    n, width = amps.shape
+    size = len(vals)
+    d_keeps = [math.prod(dims[p] for p in keep) for keep in keeps]
+    starts = np.cumsum([0] + [n * dk * dk for dk in d_keeps])
+    group = np.empty(len(keeps) * size, dtype=np.int64)
+    left, right = np.empty_like(group), np.empty_like(group)
+    for b, (keep, dk) in enumerate(zip(keeps, d_keeps)):
+        kept, key = np.zeros_like(cols), (b * n + rows) * width + cols
         for p in keep:
             stride = math.prod(dims[p + 1:])
             digit = cols // stride % dims[p]
             kept = kept * dims[p] + digit
-            group -= digit * stride
-        order = np.argsort(group, kind="stable")
-        rows, kept, vals, group = rows[order], kept[order], vals[order], group[order]
-        pairs = _pair_sums(group, rows * d_keep + kept, kept, vals, d_keep)
-        if pairs is not None:
-            rho = np.zeros(n * d_keep * d_keep, dtype=complex)
-            rho[pairs[0]] = pairs[1]
-            return rho.reshape(n, d_keep, d_keep)
-    drop = [i for i in range(len(dims)) if i not in keep]
-    psi = amps.reshape((n,) + dims).transpose([0] + [i + 1 for i in keep + drop])
-    psi = psi.reshape(n, d_keep, math.prod(dims) // d_keep)
-    return psi @ psi.conj().transpose(0, 2, 1)
+            key -= digit * stride
+        part = slice(b * size, (b + 1) * size)
+        group[part], left[part], right[part] = key, starts[b] + (rows * dk + kept) * dk, kept
+    order = np.argsort(group, kind="stable")
+    pairs = _pair_sums(group[order], left[order], right[order], vals[order % size])
+    if pairs is None:
+        return None
+    rho = np.zeros(starts[-1], dtype=complex)
+    rho[pairs[0]] = pairs[1]
+    return [rho[starts[b]:starts[b + 1]].reshape(n, dk, dk) for b, dk in enumerate(d_keeps)]
+
+
+def _marginal_stacks(amps: np.ndarray, dims: tuple[int, ...], keeps, sup=None) -> list[np.ndarray]:
+    """The (N, dk, dk) marginals of reduced_densities on each keep-set of
+    `keeps`, unchecked: from the pairs of the support `sup` when given and
+    within budget, as many keep-sets to a _pair_sums call as the size
+    budget and PAIR_CALL_ENTRIES admit; else one GEMM per keep-set."""
+    dims = tuple(dims)
+    keeps = [sorted(set(map(int, keep))) for keep in keeps]
+    for keep in keeps:
+        if not keep:
+            raise ValueError("keep-set must be non-empty")
+        if keep[0] < 0 or keep[-1] >= len(dims):
+            raise ValueError(f"keep-set {keep} out of range for {len(dims)} parties")
+    out = [None] * len(keeps)
+    if sup is not None:
+        # A group's entries differ only in their kept digits, so an entry has
+        # at most dk partners, and its keys cost about one more pair. One
+        # keep-set a call is checked against the budget by _pair_sums alone.
+        d_max = max(math.prod(dims[p] for p in keep) for keep in keeps)
+        entries = min(PAIR_CALL_ENTRIES, SIZE_BUDGET_BYTES // (PAIR_BYTES * (d_max + 1)))
+        per_call = max(1, entries // max(len(sup[2]), 1))
+        for start in range(0, len(keeps), per_call):
+            rhos = _pair_marginals(amps, dims, keeps[start:start + per_call], sup)
+            if rhos is not None:
+                out[start:start + per_call] = rhos
+    n = len(amps)
+    for k, keep in enumerate(keeps):
+        if out[k] is None:
+            d_keep = math.prod(dims[i] for i in keep)
+            drop = [i for i in range(len(dims)) if i not in keep]
+            psi = amps.reshape((n,) + dims).transpose([0] + [i + 1 for i in keep + drop])
+            psi = psi.reshape(n, d_keep, math.prod(dims) // d_keep)
+            out[k] = psi @ psi.conj().transpose(0, 2, 1)
+    return out
+
+
+def _marginals(amps: np.ndarray, dims: tuple[int, ...], keep, sup=None) -> np.ndarray:
+    """The (N, dk, dk) marginals of reduced_densities, unchecked: from the
+    pairs of the support `sup` when given and within budget, else one GEMM."""
+    return _marginal_stacks(amps, dims, [keep], sup)[0]
 
 
 def reduced_densities(amps: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
@@ -297,9 +368,9 @@ def reduced_densities(amps: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarr
 
 def party_marginals(amps: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
     """reduced_densities(amps, dims, [p]) for every party p, from one scan of
-    the block's support."""
-    sup = _sparse_support(amps)
-    out = [_marginals(amps, dims, [p], sup) for p in range(len(dims))]
+    the block's support and, on the pair path, as few _pair_sums calls as
+    the size budget and PAIR_CALL_ENTRIES admit."""
+    out = _marginal_stacks(amps, dims, [[p] for p in range(len(dims))], _sparse_support(amps))
     for rho in out:
         _check_densities(rho)
     return out
@@ -334,7 +405,7 @@ def gram_deviation(amps: np.ndarray) -> float:
     if sup is not None:
         order = np.argsort(sup[1], kind="stable")
         rows, cols, vals = (a[order] for a in sup)
-        pairs = _pair_sums(cols, rows, rows, vals, n)
+        pairs = _pair_sums(cols, rows * n, rows, vals)
         if pairs is not None:
             bins, sums = pairs
             diagonal = bins % (n + 1) == 0

@@ -229,3 +229,11 @@ class TestFamilyBlock:
             MebFamily(2, 2, np.zeros((3, 8), dtype=complex), range(3))
         with pytest.raises(ValueError, match="state dims"):
             MebFamily(2, 2, (StateVector((4,), np.eye(4)[0]),), (0,))
+
+    @pytest.mark.parametrize("d,block", [(1, np.zeros((1, 1))), (2.0, np.zeros((1, 8)))])
+    def test_empty_block_checks_d_as_a_block_with_rows_does(self, d, block):
+        error = ValueError if d == 1 else TypeError
+        with pytest.raises(error):
+            MebFamily(d, 3, block, (0,))
+        with pytest.raises(error):
+            MebFamily(d, 3, block[:0], ())

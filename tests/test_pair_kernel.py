@@ -25,7 +25,16 @@ from quditmask import (
     verify_scheme,
 )
 from quditmask import tensorcore
-from quditmask.tensorcore import _marginals, _sparse_support, gram_deviation, party_marginals, reduced_densities, support
+from quditmask.tensorcore import (
+    PAIR_BYTES,
+    PAIR_CALL_ENTRIES,
+    _marginals,
+    _sparse_support,
+    gram_deviation,
+    party_marginals,
+    reduced_densities,
+    support,
+)
 
 
 def _gemm_gram_deviation(amps):
@@ -131,6 +140,99 @@ class TestBits:
                 assert rho.tobytes() == partial_trace(StateVector(dims, row), keep).mat.tobytes()
         for p, rhos in enumerate(party_marginals(stack, dims)):
             assert rhos.tobytes() == reduced_densities(stack, dims, [p]).tobytes()
+
+
+@st.composite
+def mixed_stacks(draw):
+    """(amps, dims): 1-4 unit rows with random supports on a register of 2-5
+    parties, each of dimension 2-5, such as (2, 3, 2, 5)."""
+    dims = tuple(draw(st.lists(st.integers(2, 5), min_size=2, max_size=5).filter(lambda ds: np.prod(ds) <= 600)))
+    if draw(st.booleans()):
+        dims = (dims[0],) * len(dims)
+    dim = int(np.prod(dims))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = np.zeros((draw(st.integers(1, 4)), dim), dtype=complex)
+    for row in amps:
+        idx = rng.choice(dim, size=draw(st.integers(1, max(1, dim // 4))), replace=False)
+        row[idx] = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
+        row /= np.linalg.norm(row)
+    return amps, dims
+
+
+def _pair_calls(m):
+    """Count the _pair_sums calls made under the MonkeyPatch m."""
+    calls = []
+    pair_sums = tensorcore._pair_sums
+    m.setattr(tensorcore, "_pair_sums", lambda *args: calls.append(1) or pair_sums(*args))
+    return calls
+
+
+class TestOneCallForAllParties:
+    """party_marginals takes every party's marginals from one _pair_sums call
+    (or as few as the size budget admits), with the bits each party gets alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_stacks())
+    def test_bits_match_one_party_at_a_time(self, case):
+        amps, dims = case
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(tensorcore, "PAIR_MIN_ENTRIES", 0)
+            m.setattr(tensorcore, "PAIR_MAX_FILL", 1)
+            alone = [reduced_densities(amps, dims, [p]) for p in range(len(dims))]
+            calls = _pair_calls(m)
+            together = party_marginals(amps, dims)
+        assert len(calls) == 1
+        assert [rho.tobytes() for rho in together] == [rho.tobytes() for rho in alone]
+
+    @settings(max_examples=30, deadline=None)
+    @given(mixed_stacks(), st.integers(1, 3))
+    def test_bits_match_when_the_budget_splits_the_parties(self, case, per_call):
+        amps, dims = case
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(tensorcore, "PAIR_MIN_ENTRIES", 0)
+            m.setattr(tensorcore, "PAIR_MAX_FILL", 1)
+            alone = [reduced_densities(amps, dims, [p]) for p in range(len(dims))]
+            # The budget of per_call keep-sets at the worst case of (dk + 1)
+            # pairs an entry.
+            budget = per_call * PAIR_BYTES * (max(dims) + 1) * np.count_nonzero(amps)
+            m.setattr(tensorcore, "SIZE_BUDGET_BYTES", budget)
+            calls = _pair_calls(m)
+            together = party_marginals(amps, dims)
+        assert len(calls) == -(-len(dims) // per_call)
+        assert [rho.tobytes() for rho in together] == [rho.tobytes() for rho in alone]
+
+    def test_ghz_basis_takes_one_call(self, monkeypatch):
+        family = ghz_basis(2, 9)
+        calls = _pair_calls(monkeypatch)
+        party_marginals(family.amps, (2,) * 9)
+        assert len(calls) == 1
+
+    def test_a_call_reads_at_most_pair_call_entries(self, monkeypatch):
+        family = ghz_basis(2, 10)  # 2048 support entries a party
+        dims = (2,) * 10
+        alone = [reduced_densities(family.amps, dims, [p]) for p in range(10)]
+        calls = _pair_calls(monkeypatch)
+        together = party_marginals(family.amps, dims)
+        assert len(calls) == -(-10 // (PAIR_CALL_ENTRIES // 2048)) > 1
+        assert [rho.tobytes() for rho in together] == [rho.tobytes() for rho in alone]
+
+
+class TestRowViews:
+    def test_ghz_basis_validates_its_dims_once_not_per_row(self, monkeypatch):
+        calls = []
+        post_init = StateVector.__post_init__
+        monkeypatch.setattr(StateVector, "__post_init__", lambda self: calls.append(1) or post_init(self))
+        family = ghz_basis(2, 9)
+        assert len(calls) <= 1
+        assert len(family.states) == 512 and not family.amps.flags.writeable
+        for k, state in enumerate(family.states):
+            assert np.shares_memory(state.amps, family.amps)
+            assert not state.amps.flags.writeable
+            assert state.dims == (2,) * 9 and all(type(d) is int for d in state.dims)
+            assert state.amps.tobytes() == family.amps[k].tobytes()
+        assert family.states[0] == family.states[0] and family.states[0] != family.states[1]
+        with pytest.raises(ValueError):
+            family.states[3].amps[0] = 1.0
 
 
 class TestNonFinite:

@@ -9,6 +9,7 @@ from quditmask import (
     StateVector,
     basis_state,
     build_scheme,
+    certify_meb,
     ghz_basis,
     haar_random_state,
     leakage_profile,
@@ -16,6 +17,7 @@ from quditmask import (
     two_qudit_meb,
 )
 from quditmask.tensorcore import (
+    PSD_TOL,
     _check_densities,
     max_distance_to_maximally_mixed,
     reduced_densities,
@@ -371,6 +373,59 @@ class TestCheckDensitiesContract:
 
     def test_empty_stack_passes(self):
         assert _check_densities(np.zeros((0, 3, 3), dtype=complex)) is None
+
+
+def _psd_oracle_raises(rho):
+    """Whether the eigvalsh check alone, on every finite matrix, raises."""
+    herm = (rho + rho.conj().transpose(0, 2, 1)) / 2
+    herm = herm[np.isfinite(herm).all(axis=(1, 2))]
+    return bool(len(herm)) and np.linalg.eigvalsh(herm).min() < -PSD_TOL
+
+
+def _raises(rho):
+    try:
+        _check_densities(rho)
+    except ValueError as err:
+        assert str(err) == "matrix is not positive semidefinite within tolerance"
+        return True
+    return False
+
+
+class TestGershgorinBeforeEigvalsh:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 6), st.sampled_from([1 - 1e-3, 1 + 1e-3]), st.integers(0, 2**32 - 1))
+    def test_raises_exactly_when_eigvalsh_does(self, k, n, scale, seed):
+        """Hermitian stacks whose smallest eigenvalue sits just inside or just
+        past -PSD_TOL, beside near-I/k matrices that Gershgorin clears."""
+        rng = np.random.default_rng(seed)
+        mats = []
+        for _ in range(n):
+            z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            if rng.integers(2):
+                eigs = np.concatenate([[-PSD_TOL * scale], rng.uniform(0.1, 1, k - 1)])
+                u = np.linalg.qr(z)[0]
+                mats.append((u * eigs) @ u.conj().T)
+            else:
+                mats.append(np.eye(k) / k + 1e-3 / k * (z + z.conj().T))
+        rho = np.array(mats)
+        assert _raises(rho) == _psd_oracle_raises(rho)
+        if scale > 1 and len(rho) > 1 and _psd_oracle_raises(rho):
+            rho[0] = np.nan
+            assert _raises(rho) == _psd_oracle_raises(rho)
+
+    def test_nan_matrices_are_still_skipped(self):
+        good, nan = np.eye(2, dtype=complex) / 2, np.full((2, 2), np.nan, dtype=complex)
+        _check_densities(np.array([nan, good, nan]))
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            _check_densities(np.array([nan, np.diag([1.5, -0.5]).astype(complex)]))
+
+    def test_maximally_mixed_stacks_need_no_eigvalsh(self, monkeypatch):
+        def no_eigvalsh(*args):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        assert certify_meb(ghz_basis(2, 9)).passed
+        partial_trace(BELL, [0])
 
 
 class TestMaxDistanceToMaximallyMixed:
