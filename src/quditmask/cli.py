@@ -8,6 +8,7 @@ Exit codes: 0 success/pass, 2 masking failure, 3 bound violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -234,9 +235,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parse_args leaves no state in it, and no
+    command mutates a parsed default."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload, code = args.func(args)
         _emit(payload, args.output)

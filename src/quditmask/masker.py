@@ -37,6 +37,7 @@ class MaskingScheme:
     amps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        built = self.images.support if isinstance(self.images, FreshBlock) else None
         amps, images = stack_states(self.images, (self.d,) * self.m, self.w, "image")
         # Images that mask every single party span a distance-2 code, so w
         # is bounded by the quantum Singleton bound, not by the capacity of
@@ -47,15 +48,17 @@ class MaskingScheme:
             )
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_built_support", built)
 
     def gram_deviation(self) -> float:
-        return gram_deviation(self.amps)
+        return gram_deviation(self.amps, self._support)
 
     @cached_property
     def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(image, amplitude index, value) of each nonzero image entry, in
-        row-major order; derived from the read-only `amps` on first use."""
-        return support(self.amps)
+        row-major order: the builder's, if it gave one, else derived from the
+        read-only `amps` on first use."""
+        return self._built_support or support(self.amps)
 
 
 def masking_capacity(d: int, m: int) -> int:
@@ -89,13 +92,18 @@ def build_scheme(w: int, d: int, m: int) -> MaskingScheme:
         left = ghz_amplitudes(d, m // 2, np.arange(w))
         right = ghz_amplitudes(d, (m + 1) // 2, np.arange(w))
     # Row-wise kron: each entry is one product, as in np.kron of the rows.
+    width = right.block.shape[1]
     images = np.empty((w, d**m), dtype=complex)
-    np.multiply(left[:, :, None], right[:, None, :], out=images.reshape(w, left.shape[1], right.shape[1]))
+    np.multiply(left.block[:, :, None], right.block[:, None, :], out=images.reshape(w, -1, width))
+    # Row k's support is column i * width + j over the pairs of its factors'
+    # supports (d entries each), ascending as i and j ascend.
+    cols = left.support[1].reshape(w, -1, 1) * width + right.support[1].reshape(w, 1, -1)
+    rows = np.repeat(np.arange(w), cols[0].size)
     provenance = {
         (4, 2, 4): "example1",
         (8, 2, 6): "example2",
     }.get((w, d, m), "theorem1" if m == 4 and w == d * d else "theorem2")
-    return MaskingScheme(w, d, m, FreshBlock(images), provenance)
+    return MaskingScheme(w, d, m, FreshBlock.placed(images, rows, cols.reshape(-1)), provenance)
 
 
 def example1_scheme() -> MaskingScheme:

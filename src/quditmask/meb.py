@@ -4,6 +4,7 @@ single-party reduction is maximally mixed."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .tensorcore import (
     max_distance_to_maximally_mixed,
     party_marginals,
     stack_states,
+    support,
 )
 
 
@@ -34,10 +36,18 @@ class MebFamily:
     amps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        built = self.states.support if isinstance(self.states, FreshBlock) else None
         amps, states = stack_states(self.states, (self.d,) * self.n_parties, None, "state")
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "_built_support", built)
+
+    @cached_property
+    def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """support(amps): the builder's, if it gave one, else derived from
+        the read-only `amps` on first use."""
+        return self._built_support or support(self.amps)
 
 
 @dataclass(frozen=True)
@@ -55,9 +65,10 @@ class MebCertification:
         return self.orthonormal and self.marginals_maximally_mixed and self.complete
 
 
-def ghz_amplitudes(d: int, n_parties: int, labels) -> np.ndarray:
+def ghz_amplitudes(d: int, n_parties: int, labels) -> FreshBlock:
     """Amplitudes of the ghz_basis(d, n_parties) elements with the given
-    labels, one row per label."""
+    labels, one row per label, with their support: the d entries of a row
+    ascend, as its leading digit is j."""
     check_size_budget(len(labels), d, n_parties)
     labels = np.asarray(labels, dtype=np.int64)
     s, t = np.divmod(labels, d ** (n_parties - 1))
@@ -67,9 +78,10 @@ def ghz_amplitudes(d: int, n_parties: int, labels) -> np.ndarray:
     idx = j
     for place in range(n_parties - 2, -1, -1):
         idx = idx * d + (j + t[:, None] // d**place) % d
+    rows = np.arange(labels.size)[:, None]
     amps = np.zeros((labels.size, d**n_parties), dtype=complex)
-    amps[np.arange(labels.size)[:, None], idx] = np.exp(2j * np.pi / d) ** np.outer(s, j) / np.sqrt(d)
-    return amps
+    amps[rows, idx] = np.exp(2j * np.pi / d) ** np.outer(s, j) / np.sqrt(d)
+    return FreshBlock.placed(amps, np.repeat(rows, d), idx.reshape(-1))
 
 
 def two_qudit_labels(d: int, count: int) -> np.ndarray:
@@ -86,7 +98,7 @@ def two_qudit_meb(d: int) -> MebFamily:
     if d < 2:
         raise ValueError("d must be >= 2")
     check_size_budget(d * d, d, 2)  # before the d^2 labels are built
-    return MebFamily(d, 2, FreshBlock(ghz_amplitudes(d, 2, two_qudit_labels(d, d * d))), range(d * d))
+    return MebFamily(d, 2, ghz_amplitudes(d, 2, two_qudit_labels(d, d * d)), range(d * d))
 
 
 def ghz_basis(d: int, n_parties: int) -> MebFamily:
@@ -101,14 +113,14 @@ def ghz_basis(d: int, n_parties: int) -> MebFamily:
         raise ValueError("need d >= 2 and n_parties >= 2")
     check_size_budget(1, d, n_parties)  # before the d^n labels are built
     labels = range(d**n_parties)
-    return MebFamily(d, n_parties, FreshBlock(ghz_amplitudes(d, n_parties, labels)), labels)
+    return MebFamily(d, n_parties, ghz_amplitudes(d, n_parties, labels), labels)
 
 
 def certify_meb(family: MebFamily) -> MebCertification:
     """Check orthonormality, single-party maximal mixedness, and completeness."""
     expected = family.d**family.n_parties
-    gram_dev = gram_deviation(family.amps)
-    marginals = party_marginals(family.amps, (family.d,) * family.n_parties)
+    gram_dev = gram_deviation(family.amps, family._support)
+    marginals = party_marginals(family.amps, (family.d,) * family.n_parties, family._support)
     marg_devs = [max_distance_to_maximally_mixed(rho) for rho in marginals]
     # np.max, unlike the builtin max, keeps NaN, so a NaN state fails the check.
     marg_dev = float(np.max(marg_devs, initial=0.0))

@@ -108,9 +108,23 @@ def basis_state(dims: list[int] | tuple[int, ...], digits: list[int] | tuple[int
 @dataclass(frozen=True)
 class FreshBlock:
     """A complex (N, dim) block the package has just allocated and holds no
-    other reference to; stack_states keeps it without a copy."""
+    other reference to; stack_states keeps it without a copy. `support`, if
+    given, equals support(block) entry for entry, so its owner need not scan
+    the block for it."""
 
     block: np.ndarray
+    support: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    @classmethod
+    def placed(cls, block: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> FreshBlock:
+        """`block` with the support its builder placed: (rows, cols) holds
+        every nonzero entry, in row-major order. Values are gathered from the
+        finished block, so they keep its bits; zero values are dropped."""
+        vals = block[rows, cols]
+        nonzero = vals != 0  # NaN stays in the support, as in support()
+        if not nonzero.all():
+            rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
+        return cls(block, (rows, cols, vals))
 
 
 def stack_states(states, dims: tuple[int, ...], count: int | None, noun: str) -> tuple[np.ndarray, tuple[StateVector, ...]]:
@@ -176,7 +190,8 @@ def _check_densities(rho: np.ndarray) -> None:
     rho_h = rho.conj().transpose(0, 2, 1)
     if np.abs(rho - rho_h).max(initial=0.0) > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
-    herm = (rho + rho_h) / 2
+    herm = rho + rho_h
+    herm *= 0.5  # in place; halving is exact, so the bits of (rho + rho_h) / 2
     # Gershgorin: no eigenvalue of a matrix lies below min_i (h_ii - the sum
     # of |h_ij| over j != i), and 2 h_ii - sum_j |h_ij| is that bound, or
     # lower where h_ii < 0. Matrices whose rows all clear the tolerance need
@@ -238,26 +253,33 @@ PAIR_BYTES = 96  # working bytes per ordered pair in _pair_sums (tracemalloc: 74
 PAIR_CALL_ENTRIES = 2**14
 
 
-def _sparse_support(amps: np.ndarray):
+def _sparse_support(amps: np.ndarray, sup=None):
     """The support of an (N, D) block if the pair kernel should read it:
     the block has at least PAIR_MIN_ENTRIES entries, decided before any scan,
-    and at most one in PAIR_MAX_FILL of them is nonzero. None otherwise (the GEMM)."""
+    and at most one in PAIR_MAX_FILL of them is nonzero. None otherwise (the
+    GEMM). `sup` is the block's support, if the caller has it; else the
+    block is scanned here."""
     if amps.size < PAIR_MIN_ENTRIES:
         return None
-    nonzero = amps != 0
-    if PAIR_MAX_FILL * np.count_nonzero(nonzero) > amps.size:
-        return None
-    return support(amps, nonzero)
+    if sup is None:
+        nonzero = amps != 0
+        if PAIR_MAX_FILL * np.count_nonzero(nonzero) > amps.size:
+            return None
+        return support(amps, nonzero)
+    return sup if PAIR_MAX_FILL * len(sup[2]) <= amps.size else None
 
 
-def _pair_sums(keys, left, right, vals):
+def _pair_sums(keys, left, right, vals, size=None):
     """(bins, sums) over every ordered pair (i, j) of entries with equal
     keys: the bins left[i] + right[j] that some pair reaches, in ascending
-    order, and each bin's sum of vals[i] * conj(vals[j]). None if the pairs
-    are over the size budget. Entries come sorted by key.
+    order, and each bin's sum of vals[i] * conj(vals[j]). With `size`, the
+    bins lie in [0, size) and come back as None, with sums over all of them,
+    0 where no pair reaches. None if the pairs are over the size budget.
+    Entries come sorted by key.
 
     Each bin sums its pairs in entry order (np.bincount adds in input order),
-    so the bins of one row get the same bits alone or in a stack."""
+    so the bins of one row get the same bits alone or in a stack, sorted or
+    dense."""
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     group = np.cumsum(first) - 1
@@ -269,11 +291,16 @@ def _pair_sums(keys, left, right, vals):
     # Entry i's pairs run from offset[i]; its partners from its group's start.
     offset = np.cumsum(per_entry) - per_entry
     j = np.arange(n_pairs) - np.repeat(offset - np.flatnonzero(first)[group], per_entry)
-    bins, inverse = np.unique(left[i] + right[j], return_inverse=True)
+    bins = left[i] + right[j]
+    if size is None:
+        bins, inverse = np.unique(bins, return_inverse=True)
+        size = len(bins)
+    else:
+        bins, inverse = None, bins
     prod = vals[i] * vals[j].conj()
-    sums = np.empty(len(bins), dtype=complex)
-    sums.real = np.bincount(inverse, prod.real, len(bins))
-    sums.imag = np.bincount(inverse, prod.imag, len(bins))
+    sums = np.empty(size, dtype=complex)
+    sums.real = np.bincount(inverse, prod.real, size)
+    sums.imag = np.bincount(inverse, prod.imag, size)
     return bins, sums
 
 
@@ -304,11 +331,10 @@ def _pair_marginals(amps: np.ndarray, dims: tuple[int, ...], keeps, sup):
         part = slice(b * size, (b + 1) * size)
         group[part], left[part], right[part] = key, starts[b] + (rows * dk + kept) * dk, kept
     order = np.argsort(group, kind="stable")
-    pairs = _pair_sums(group[order], left[order], right[order], vals[order % size])
+    pairs = _pair_sums(group[order], left[order], right[order], vals[order % size], int(starts[-1]))
     if pairs is None:
         return None
-    rho = np.zeros(starts[-1], dtype=complex)
-    rho[pairs[0]] = pairs[1]
+    rho = pairs[1]
     return [rho[starts[b]:starts[b + 1]].reshape(n, dk, dk) for b, dk in enumerate(d_keeps)]
 
 
@@ -366,11 +392,12 @@ def reduced_densities(amps: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarr
     return rho
 
 
-def party_marginals(amps: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
+def party_marginals(amps: np.ndarray, dims: tuple[int, ...], support=None) -> list[np.ndarray]:
     """reduced_densities(amps, dims, [p]) for every party p, from one scan of
-    the block's support and, on the pair path, as few _pair_sums calls as
-    the size budget and PAIR_CALL_ENTRIES admit."""
-    out = _marginal_stacks(amps, dims, [[p] for p in range(len(dims))], _sparse_support(amps))
+    the block's support, or none if `support` gives it (equal to
+    support(amps)), and, on the pair path, as few _pair_sums calls as the
+    size budget and PAIR_CALL_ENTRIES admit."""
+    out = _marginal_stacks(amps, dims, [[p] for p in range(len(dims))], _sparse_support(amps, support))
     for rho in out:
         _check_densities(rho)
     return out
@@ -394,14 +421,15 @@ def max_distance_to_maximally_mixed(mats: np.ndarray) -> float:
     return float(np.abs(mats - np.eye(d) / d).max(initial=0.0))
 
 
-def gram_deviation(amps: np.ndarray) -> float:
+def gram_deviation(amps: np.ndarray, support=None) -> float:
     """Max-entry norm of G - I for the Gram matrix G of the rows of a
     (N, dim) amplitude block; 0.0 if N = 0. A sparse block sums the pairs of
     entries sharing a column into the entries of conj(G) they reach, with no
     conjugated copy of the block and no N x N matrix; every other entry of G
-    is 0, at distance 1 from I on the diagonal and 0 off it."""
+    is 0, at distance 1 from I on the diagonal and 0 off it. `support`, if
+    given, is support(amps), and the block is not scanned for it."""
     n = len(amps)
-    sup = _sparse_support(amps)
+    sup = _sparse_support(amps, support)
     if sup is not None:
         order = np.argsort(sup[1], kind="stable")
         rows, cols, vals = (a[order] for a in sup)

@@ -15,6 +15,7 @@ from quditmask import (
     mask,
     partial_trace,
 )
+from quditmask import cli
 from quditmask.cli import (
     EXIT_BOUND_VIOLATION,
     EXIT_MASKING_FAILURE,
@@ -500,3 +501,32 @@ def test_verify_samples_over_budget_exits_64(capsys):
     assert code == EXIT_USAGE and out == ""
     assert err.count("\n") == 1 and "over the size budget" in err
     assert peak < 2**20
+
+
+class TestOneParserPerProcess:
+    """main() parses with one parser per process; no parsed value or mutable
+    default carries over from one command to the next."""
+
+    SEQUENCE = (
+        ("verify", "--w", "4", "--d", "2", "--m", "4", "--samples", "3", "--seed", "1"),
+        ("bounds", "--d", "2", "--m", "6", "--w", "2", "4"),
+        ("bounds", "--d", "2", "--m", "6"),
+        ("mask", "--w", "4", "--d", "2", "--m", "6", "--amps", "0.5,0.5,0.5,0.5"),
+        ("build", "--w", "4", "--d", "2", "--m", "4", "--format", "text"),
+        ("verify", "--w", "32", "--d", "2", "--m", "4"),
+    )
+
+    def test_shared_parser_gives_what_fresh_parsers_give(self, capsys, monkeypatch):
+        fresh = []
+        for argv in self.SEQUENCE:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        builds = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+        cli._parser.cache_clear()
+        # Twice over, so each command also runs after every other one.
+        shared = [run(capsys, *argv) for argv in self.SEQUENCE + self.SEQUENCE]
+        assert len(builds) == 1
+        assert shared == fresh + fresh
+        assert [code for code, _, _ in fresh] == [EXIT_OK] * 5 + [EXIT_BOUND_VIOLATION]
