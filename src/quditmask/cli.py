@@ -113,11 +113,14 @@ def _cmd_build(args) -> tuple[str, int]:
 
 
 def _cmd_mask(args) -> tuple[str, int]:
-    # The scheme is never named, so its image block is freed when mask returns;
-    # arguments run left to right, so a bound violation (exit 3) is still
-    # reported before a malformed input (exit 64).
-    masked = masker.mask(masker.build_scheme(args.w, args.d, args.m), _read_amplitudes(args, args.w))
-    marginals = [rho[0] for rho in party_marginals(masked.amps[None], masked.dims)]
+    # A built scheme holds its images' support, not their block, so keeping it
+    # costs no block; it is built first, so a bound violation (exit 3) is
+    # still reported before a malformed input (exit 64). The masked state's
+    # support comes from the scheme's, and the state is not scanned for it.
+    scheme = masker.build_scheme(args.w, args.d, args.m)
+    masked = masker.mask(scheme, _read_amplitudes(args, args.w))
+    support = masker.masked_support(scheme, masked)
+    marginals = [rho[0] for rho in party_marginals(masked.amps[None], masked.dims, support)]
     if args.format == "json":
         doc = {
             "w": args.w,

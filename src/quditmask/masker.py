@@ -4,14 +4,14 @@ parties."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gates import Circuit, apply, append_ancilla, controlled_power_gate, fourier_gate
 from .meb import ghz_amplitudes, two_qudit_labels
-from .tensorcore import FreshBlock, ShapeError, StateVector, check_size_budget, complex_pairs, gram_deviation, stack_states, support
+from .tensorcore import FreshBlock, ShapeError, StateVector, _StateBlock, check_size_budget, complex_pairs, gram_deviation
 
 
 class BoundViolationError(ValueError):
@@ -21,24 +21,25 @@ class BoundViolationError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class MaskingScheme:
+class MaskingScheme(_StateBlock):
     """Ordered list of w orthonormal m-party image states over (C^d)^(x m).
 
     The images are stored once, as the read-only (w, d**m) block `amps`, with
     read-only StateVector views of its rows in `images`; pass either as `images`.
-    Equality is identity; compare `amps` to compare schemes.
+    A built scheme holds only its images' support until `amps` or `images`
+    is read. Equality is identity; compare `amps` to compare schemes.
     """
+
+    _ROWS = "images"
 
     w: int
     d: int
     m: int
     images: tuple[StateVector, ...] | np.ndarray
     provenance: str = "custom"
-    amps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        built = self.images.support if isinstance(self.images, FreshBlock) else None
-        amps, images = stack_states(self.images, (self.d,) * self.m, self.w, "image")
+        self._hold((self.d,) * self.m, self.w, "image")
         # Images that mask every single party span a distance-2 code, so w
         # is bounded by the quantum Singleton bound, not by the capacity of
         # build_scheme's construction.
@@ -46,19 +47,9 @@ class MaskingScheme:
             raise BoundViolationError(
                 f"w={self.w} exceeds the quantum Singleton bound d^(m-2) = {self.d ** (self.m - 2)}"
             )
-        object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_built_support", built)
 
     def gram_deviation(self) -> float:
-        return gram_deviation(self.amps, self._support)
-
-    @cached_property
-    def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(image, amplitude index, value) of each nonzero image entry, in
-        row-major order: the builder's, if it gave one, else derived from the
-        read-only `amps` on first use."""
-        return self._built_support or support(self.amps)
+        return gram_deviation(self._block, self._support)
 
 
 def masking_capacity(d: int, m: int) -> int:
@@ -91,19 +82,29 @@ def build_scheme(w: int, d: int, m: int) -> MaskingScheme:
     else:
         left = ghz_amplitudes(d, m // 2, np.arange(w))
         right = ghz_amplitudes(d, (m + 1) // 2, np.arange(w))
-    # Row-wise kron: each entry is one product, as in np.kron of the rows.
-    width = right.block.shape[1]
-    images = np.empty((w, d**m), dtype=complex)
-    np.multiply(left.block[:, :, None], right.block[:, None, :], out=images.reshape(w, -1, width))
     # Row k's support is column i * width + j over the pairs of its factors'
-    # supports (d entries each), ascending as i and j ascend.
+    # supports (d entries each), ascending as i and j ascend; each value is
+    # one product, as _kron_rows writes it when the block is made.
+    width = right.shape[1]
     cols = left.support[1].reshape(w, -1, 1) * width + right.support[1].reshape(w, 1, -1)
+    vals = left.support[2].reshape(w, -1, 1) * right.support[2].reshape(w, 1, -1)
     rows = np.repeat(np.arange(w), cols[0].size)
     provenance = {
         (4, 2, 4): "example1",
         (8, 2, 6): "example2",
     }.get((w, d, m), "theorem1" if m == 4 and w == d * d else "theorem2")
-    return MaskingScheme(w, d, m, FreshBlock.placed(images, rows, cols.reshape(-1)), provenance)
+    make = functools.partial(_kron_rows, left, right)
+    return MaskingScheme(w, d, m, FreshBlock.placed((w, d**m), rows, cols.reshape(-1), vals.reshape(-1), make), provenance)
+
+
+def _kron_rows(left: FreshBlock, right: FreshBlock) -> np.ndarray:
+    """The row-wise kron of two factor blocks, each entry one product, as
+    np.kron of the rows gives it. Unlike a scatter into np.zeros, it writes
+    -0.0 where a negative factor entry meets a zero."""
+    a, b = left.make(), right.make()
+    images = np.empty((len(a), a.shape[1] * b.shape[1]), dtype=complex)
+    np.multiply(a[:, :, None], b[:, None, :], out=images.reshape(len(a), a.shape[1], b.shape[1]))
+    return images
 
 
 def example1_scheme() -> MaskingScheme:
@@ -128,6 +129,15 @@ def mask(scheme: MaskingScheme, state: StateVector) -> StateVector:
     rows, cols, vals = scheme._support
     np.add.at(out, cols, state.amps[rows] * vals)
     return StateVector((scheme.d,) * scheme.m, out)
+
+
+def masked_support(scheme: MaskingScheme, masked: StateVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """support(masked.amps[None]) for masked = mask(scheme, a), with no scan:
+    mask writes only the columns of the images' support, so the nonzeros lie
+    in their sorted union. Exact cancellations are left out; NaN stays."""
+    cols = np.unique(scheme._support[1])
+    cols = cols[masked.amps[cols] != 0]
+    return np.zeros_like(cols), cols, masked.amps[cols]
 
 
 def digit_encode(state: StateVector, d: int) -> StateVector:

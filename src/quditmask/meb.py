@@ -3,8 +3,7 @@ single-party reduction is maximally mixed."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,41 +12,36 @@ from .tensorcore import (
     MEB_MARGINAL_TOL,
     FreshBlock,
     StateVector,
+    _StateBlock,
     check_size_budget,
     complex_pairs,
     gram_deviation,
     max_distance_to_maximally_mixed,
     party_marginals,
-    stack_states,
-    support,
 )
 
 
 @dataclass(frozen=True, eq=False)
-class MebFamily:
+class MebFamily(_StateBlock):
     """An ordered family of n-qudit states intended as a maximum entangled basis,
     stored as MaskingScheme stores its images: `amps` is the read-only (N, d**n)
-    block and `states` its row views. Equality is identity; compare `amps`."""
+    block and `states` its row views, one label per state. A built family
+    holds only its support until `amps` or `states` is read. Equality is
+    identity; compare `amps`."""
+
+    _ROWS = "states"
 
     d: int
     n_parties: int
     states: tuple[StateVector, ...] | np.ndarray
     labels: tuple[int, ...]
-    amps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        built = self.states.support if isinstance(self.states, FreshBlock) else None
-        amps, states = stack_states(self.states, (self.d,) * self.n_parties, None, "state")
-        object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "_built_support", built)
-
-    @cached_property
-    def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """support(amps): the builder's, if it gave one, else derived from
-        the read-only `amps` on first use."""
-        return self._built_support or support(self.amps)
+        self._hold((self.d,) * self.n_parties, None, "state")
+        labels = tuple(self.labels)
+        if len(labels) != self._block.shape[0]:
+            raise ValueError(f"{len(labels)} labels for {self._block.shape[0]} states")
+        object.__setattr__(self, "labels", labels)
 
 
 @dataclass(frozen=True)
@@ -66,9 +60,10 @@ class MebCertification:
 
 
 def ghz_amplitudes(d: int, n_parties: int, labels) -> FreshBlock:
-    """Amplitudes of the ghz_basis(d, n_parties) elements with the given
-    labels, one row per label, with their support: the d entries of a row
-    ascend, as its leading digit is j."""
+    """The block of the ghz_basis(d, n_parties) elements with the given
+    labels, one row per label, as its support, computed directly, and a
+    maker that scatters it into np.zeros: the d entries of a row ascend, as
+    its leading digit is j."""
     check_size_budget(len(labels), d, n_parties)
     labels = np.asarray(labels, dtype=np.int64)
     s, t = np.divmod(labels, d ** (n_parties - 1))
@@ -78,10 +73,9 @@ def ghz_amplitudes(d: int, n_parties: int, labels) -> FreshBlock:
     idx = j
     for place in range(n_parties - 2, -1, -1):
         idx = idx * d + (j + t[:, None] // d**place) % d
-    rows = np.arange(labels.size)[:, None]
-    amps = np.zeros((labels.size, d**n_parties), dtype=complex)
-    amps[rows, idx] = np.exp(2j * np.pi / d) ** np.outer(s, j) / np.sqrt(d)
-    return FreshBlock.placed(amps, np.repeat(rows, d), idx.reshape(-1))
+    vals = np.exp(2j * np.pi / d) ** np.outer(s, j) / np.sqrt(d)
+    rows = np.repeat(np.arange(labels.size), d)
+    return FreshBlock.placed((labels.size, d**n_parties), rows, idx.reshape(-1), vals.reshape(-1))
 
 
 def two_qudit_labels(d: int, count: int) -> np.ndarray:
@@ -119,18 +113,19 @@ def ghz_basis(d: int, n_parties: int) -> MebFamily:
 def certify_meb(family: MebFamily) -> MebCertification:
     """Check orthonormality, single-party maximal mixedness, and completeness."""
     expected = family.d**family.n_parties
-    gram_dev = gram_deviation(family.amps, family._support)
-    marginals = party_marginals(family.amps, (family.d,) * family.n_parties, family._support)
+    count = family._block.shape[0]
+    gram_dev = gram_deviation(family._block, family._support)
+    marginals = party_marginals(family._block, (family.d,) * family.n_parties, family._support)
     marg_devs = [max_distance_to_maximally_mixed(rho) for rho in marginals]
     # np.max, unlike the builtin max, keeps NaN, so a NaN state fails the check.
     marg_dev = float(np.max(marg_devs, initial=0.0))
     return MebCertification(
         orthonormal=gram_dev <= GRAM_TOL,
         marginals_maximally_mixed=marg_dev <= MEB_MARGINAL_TOL,
-        complete=len(family.states) == expected,
+        complete=count == expected,
         max_gram_deviation=gram_dev,
         max_marginal_deviation=marg_dev,
-        count=len(family.states),
+        count=count,
         expected_count=expected,
     )
 

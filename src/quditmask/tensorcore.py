@@ -8,8 +8,10 @@ you'd read off left to right.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,37 +107,73 @@ def basis_state(dims: list[int] | tuple[int, ...], digits: list[int] | tuple[int
     return StateVector(dims, amps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FreshBlock:
-    """A complex (N, dim) block the package has just allocated and holds no
-    other reference to; stack_states keeps it without a copy. `support`, if
-    given, equals support(block) entry for entry, so its owner need not scan
-    the block for it."""
+    """A complex (N, dim) block the package builds but has not made: its
+    shape, its support, equal to support(block) entry for entry, and `make`,
+    which allocates the block and keeps no reference to it. `block` is the
+    read-only block, made on first read and kept; readers of the shape and
+    support alone never make it."""
 
-    block: np.ndarray
-    support: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    shape: tuple[int, int]
+    support: tuple[np.ndarray, np.ndarray, np.ndarray]
+    make: Callable[[], np.ndarray]
 
     @classmethod
-    def placed(cls, block: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> FreshBlock:
-        """`block` with the support its builder placed: (rows, cols) holds
-        every nonzero entry, in row-major order. Values are gathered from the
-        finished block, so they keep its bits; zero values are dropped."""
-        vals = block[rows, cols]
+    def placed(cls, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+               make: Callable[[], np.ndarray] | None = None) -> FreshBlock:
+        """The block whose builder placed `vals` at (rows, cols), in
+        row-major order, and zeros elsewhere; `make` defaults to writing
+        them into np.zeros. Zero values are left out of the support."""
+        if make is None:
+            make = functools.partial(_scatter, shape, rows, cols, vals)
         nonzero = vals != 0  # NaN stays in the support, as in support()
-        if not nonzero.all():
-            rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
-        return cls(block, (rows, cols, vals))
+        if nonzero.all():
+            return cls(shape, (rows, cols, vals), make)
+        return cls(shape, (rows[nonzero], cols[nonzero], vals[nonzero]), make)
+
+    @functools.cached_property
+    def block(self) -> np.ndarray:
+        block = self.make()
+        block.flags.writeable = False
+        return block
+
+
+def _scatter(shape, rows, cols, vals) -> np.ndarray:
+    block = np.zeros(shape, dtype=complex)
+    block[rows, cols] = vals
+    return block
+
+
+def _dense(amps):
+    """An (N, dim) ndarray, or a FreshBlock's block, made if need be."""
+    return amps.block if isinstance(amps, FreshBlock) else amps
+
+
+def _checked_dims(shape, dims, count: int | None, noun: str) -> tuple[int, ...]:
+    """dims as _register_dims gives them, after checking that a block of
+    `shape` is (N, prod(dims)) with N = count unless count is None."""
+    if len(shape) != 2 or _capped_prod(dims, shape[1]) != shape[1] or count not in (None, shape[0]):
+        raise ValueError(f"{noun} block shape {shape} != ({'N' if count is None else count}, {_size_name(dims)})")
+    return _register_dims(dims)
+
+
+def _row_views(amps: np.ndarray, dims: tuple[int, ...]) -> tuple[StateVector, ...]:
+    """StateVector views of the rows of a read-only block on checked dims,
+    made without a second check."""
+    views = tuple(object.__new__(StateVector) for _ in range(len(amps)))
+    for view, row in zip(views, amps):
+        view.__dict__.update(dims=dims, amps=row)
+    return views
 
 
 def stack_states(states, dims: tuple[int, ...], count: int | None, noun: str) -> tuple[np.ndarray, tuple[StateVector, ...]]:
     """States on `dims`, given as an (N, prod(dims)) block or a sequence of
-    StateVectors (N = count unless count is None), as one read-only block
-    plus read-only StateVector views of its rows; `noun` names a state in errors.
-    A caller's block is copied, so no view of it made before or after can
-    rewrite the states; only a FreshBlock is kept as it is."""
-    if isinstance(states, FreshBlock):
-        amps = states.block
-    elif isinstance(states, np.ndarray):
+    StateVectors (N = count unless count is None), as one new read-only
+    block plus read-only StateVector views of its rows; `noun` names a
+    state in errors. A caller's block is copied, so no view of it made
+    before or after can rewrite the states."""
+    if isinstance(states, np.ndarray):
         amps = np.array(states, dtype=complex)
     else:
         states = tuple(states)
@@ -150,16 +188,47 @@ def stack_states(states, dims: tuple[int, ...], count: int | None, noun: str) ->
         amps = np.empty((len(states), width), dtype=complex)
         for row, s in zip(amps, states):
             row[:] = s.amps
-    if amps.ndim != 2 or _capped_prod(dims, amps.shape[1]) != amps.shape[1] or count not in (None, len(amps)):
-        raise ValueError(f"{noun} block shape {amps.shape} != ({'N' if count is None else count}, {_size_name(dims)})")
-    # The dims are checked once for the block, with or without rows, and
-    # each row's view is made without a second check.
-    dims = _register_dims(dims)
+    # The dims are checked once for the block, with or without rows.
+    dims = _checked_dims(amps.shape, dims, count, noun)
     amps.flags.writeable = False
-    views = tuple(object.__new__(StateVector) for _ in range(len(amps)))
-    for view, row in zip(views, amps):
-        view.__dict__.update(dims=dims, amps=row)
-    return amps, views
+    return amps, _row_views(amps, dims)
+
+
+class _StateBlock:
+    """Base of the frozen dataclasses that hold N states on one register:
+    one read-only (N, dim) block `amps`, read-only StateVector views of its
+    rows in the field named by `_ROWS`, and `_support`, equal to
+    support(amps). A caller's states are stacked at construction. A
+    FreshBlock is held as its shape and support: `amps` and the views are
+    made together on first read of either, and readers of the support alone
+    never make them. `_block` is the FreshBlock or the stacked block."""
+
+    _ROWS: str
+
+    def _hold(self, dims: tuple[int, ...], count: int | None, noun: str) -> None:
+        states = getattr(self, self._ROWS)
+        if isinstance(states, FreshBlock):
+            dims = _checked_dims(states.shape, dims, count, noun)
+            del self.__dict__[self._ROWS]  # made with `amps`, by __getattr__
+        else:
+            states, views = stack_states(states, dims, count, noun)
+            self.__dict__.update({"amps": states, self._ROWS: views})
+        self.__dict__.update(_block=states, _dims=dims)
+
+    def __getattr__(self, name):
+        # Called only for names not set: `amps` and the views of a FreshBlock.
+        if name not in ("amps", self._ROWS):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        amps = self._block.block
+        self.__dict__.update({"amps": amps, self._ROWS: _row_views(amps, self._dims)})
+        return self.__dict__[name]
+
+    @functools.cached_property
+    def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, column, value) of each nonzero entry, in row-major order:
+        the builder's, if it gave one, else derived from `amps` on first use."""
+        block = self._block
+        return block.support if isinstance(block, FreshBlock) else support(block)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,20 +322,21 @@ PAIR_BYTES = 96  # working bytes per ordered pair in _pair_sums (tracemalloc: 74
 PAIR_CALL_ENTRIES = 2**14
 
 
-def _sparse_support(amps: np.ndarray, sup=None):
+def _sparse_support(amps, sup=None):
     """The support of an (N, D) block if the pair kernel should read it:
     the block has at least PAIR_MIN_ENTRIES entries, decided before any scan,
     and at most one in PAIR_MAX_FILL of them is nonzero. None otherwise (the
     GEMM). `sup` is the block's support, if the caller has it; else the
-    block is scanned here."""
-    if amps.size < PAIR_MIN_ENTRIES:
+    block, an ndarray, is scanned here. A FreshBlock comes with its support."""
+    size = amps.shape[0] * amps.shape[1]
+    if size < PAIR_MIN_ENTRIES:
         return None
     if sup is None:
         nonzero = amps != 0
-        if PAIR_MAX_FILL * np.count_nonzero(nonzero) > amps.size:
+        if PAIR_MAX_FILL * np.count_nonzero(nonzero) > size:
             return None
         return support(amps, nonzero)
-    return sup if PAIR_MAX_FILL * len(sup[2]) <= amps.size else None
+    return sup if PAIR_MAX_FILL * len(sup[2]) <= size else None
 
 
 def _pair_sums(keys, left, right, vals, size=None):
@@ -304,7 +374,7 @@ def _pair_sums(keys, left, right, vals, size=None):
     return bins, sums
 
 
-def _pair_marginals(amps: np.ndarray, dims: tuple[int, ...], keeps, sup):
+def _pair_marginals(amps, dims: tuple[int, ...], keeps, sup):
     """The (N, dk, dk) marginals of an (N, D) block on each keep-set of
     `keeps`, from one _pair_sums call over the support `sup`; None if the
     pairs are over the size budget.
@@ -338,11 +408,12 @@ def _pair_marginals(amps: np.ndarray, dims: tuple[int, ...], keeps, sup):
     return [rho[starts[b]:starts[b + 1]].reshape(n, dk, dk) for b, dk in enumerate(d_keeps)]
 
 
-def _marginal_stacks(amps: np.ndarray, dims: tuple[int, ...], keeps, sup=None) -> list[np.ndarray]:
+def _marginal_stacks(amps, dims: tuple[int, ...], keeps, sup=None) -> list[np.ndarray]:
     """The (N, dk, dk) marginals of reduced_densities on each keep-set of
     `keeps`, unchecked: from the pairs of the support `sup` when given and
     within budget, as many keep-sets to a _pair_sums call as the size
-    budget and PAIR_CALL_ENTRIES admit; else one GEMM per keep-set."""
+    budget and PAIR_CALL_ENTRIES admit; else one GEMM per keep-set, on the
+    block made if `amps` is a FreshBlock."""
     dims = tuple(dims)
     keeps = [sorted(set(map(int, keep))) for keep in keeps]
     for keep in keeps:
@@ -362,9 +433,10 @@ def _marginal_stacks(amps: np.ndarray, dims: tuple[int, ...], keeps, sup=None) -
             rhos = _pair_marginals(amps, dims, keeps[start:start + per_call], sup)
             if rhos is not None:
                 out[start:start + per_call] = rhos
-    n = len(amps)
+    n = amps.shape[0]
     for k, keep in enumerate(keeps):
         if out[k] is None:
+            amps = _dense(amps)
             d_keep = math.prod(dims[i] for i in keep)
             drop = [i for i in range(len(dims)) if i not in keep]
             psi = amps.reshape((n,) + dims).transpose([0] + [i + 1 for i in keep + drop])
@@ -392,11 +464,12 @@ def reduced_densities(amps: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarr
     return rho
 
 
-def party_marginals(amps: np.ndarray, dims: tuple[int, ...], support=None) -> list[np.ndarray]:
+def party_marginals(amps, dims: tuple[int, ...], support=None) -> list[np.ndarray]:
     """reduced_densities(amps, dims, [p]) for every party p, from one scan of
     the block's support, or none if `support` gives it (equal to
     support(amps)), and, on the pair path, as few _pair_sums calls as the
-    size budget and PAIR_CALL_ENTRIES admit."""
+    size budget and PAIR_CALL_ENTRIES admit. `amps` is an ndarray, or a
+    FreshBlock with its support, made only if the GEMM reads it."""
     out = _marginal_stacks(amps, dims, [[p] for p in range(len(dims))], _sparse_support(amps, support))
     for rho in out:
         _check_densities(rho)
@@ -421,14 +494,15 @@ def max_distance_to_maximally_mixed(mats: np.ndarray) -> float:
     return float(np.abs(mats - np.eye(d) / d).max(initial=0.0))
 
 
-def gram_deviation(amps: np.ndarray, support=None) -> float:
+def gram_deviation(amps, support=None) -> float:
     """Max-entry norm of G - I for the Gram matrix G of the rows of a
     (N, dim) amplitude block; 0.0 if N = 0. A sparse block sums the pairs of
     entries sharing a column into the entries of conj(G) they reach, with no
     conjugated copy of the block and no N x N matrix; every other entry of G
     is 0, at distance 1 from I on the diagonal and 0 off it. `support`, if
-    given, is support(amps), and the block is not scanned for it."""
-    n = len(amps)
+    given, is support(amps), and the block is not scanned for it. `amps` is
+    an ndarray, or a FreshBlock with its support, made only for the GEMM."""
+    n = amps.shape[0]
     sup = _sparse_support(amps, support)
     if sup is not None:
         order = np.argsort(sup[1], kind="stable")
@@ -439,6 +513,7 @@ def gram_deviation(amps: np.ndarray, support=None) -> float:
             diagonal = bins % (n + 1) == 0
             unreached = 1.0 if np.count_nonzero(diagonal) < n else 0.0
             return float(np.abs(sums - diagonal).max(initial=unreached))
+    amps = _dense(amps)
     return float(np.abs(amps.conj() @ amps.T - np.eye(n)).max(initial=0.0))
 
 

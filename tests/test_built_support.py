@@ -1,6 +1,10 @@
 """Built blocks carry the support their builder placed: `mask`, the Gram and
 the marginals read it instead of scanning the block, and get the bits a scan
-gives."""
+gives. The dense block is made only when something reads it, with the bytes
+the builders wrote when they made it up front."""
+
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import pytest
 from quditmask import (
     MaskingScheme,
     MebFamily,
+    StateVector,
     basis_state,
     build_scheme,
     certify_meb,
@@ -15,9 +20,11 @@ from quditmask import (
     haar_random_state,
     mask,
     two_qudit_meb,
+    verify_scheme,
 )
-from quditmask import masker, meb, tensorcore
-from quditmask.meb import ghz_amplitudes
+from quditmask import cli, masker, meb, tensorcore
+from quditmask.masker import masked_support
+from quditmask.meb import ghz_amplitudes, two_qudit_labels
 from quditmask.tensorcore import (
     GRAM_TOL,
     SIZE_BUDGET_BYTES,
@@ -80,9 +87,11 @@ class TestBuilderSupportIsTheScan:
         block[0, [1, 3]] = [1j, np.nan]
         block[1, 0] = -0.5
         # (0, 0) and (1, 2) are placed but hold zeros.
-        fresh = FreshBlock.placed(block, np.array([0, 0, 0, 1, 1]), np.array([0, 1, 3, 0, 2]))
-        assert fresh.block is block
+        rows, cols = np.array([0, 0, 0, 1, 1]), np.array([0, 1, 3, 0, 2])
+        fresh = FreshBlock.placed(block.shape, rows, cols, block[rows, cols])
         assert_is_support(fresh.support, block)
+        assert fresh.block.tobytes() == block.tobytes()  # the default maker's scatter
+        assert FreshBlock.placed(block.shape, rows, cols, block[rows, cols], lambda: block).block is block
 
 
 @pytest.fixture
@@ -189,3 +198,171 @@ class TestDenseMarginalBins:
 
         monkeypatch.setattr(np, "unique", no_sort)
         party_marginals(family.amps, (2,) * 9, family._support)
+
+
+def made(obj):
+    """Whether a scheme's or family's dense block has been made."""
+    return "amps" in vars(obj) or "block" in vars(obj._block)
+
+
+class TestNoBlockMade:
+    def test_mask_and_pair_gram_make_no_block(self):
+        scheme = build_scheme(4, 2, 18)
+        mask(scheme, haar_random_state(4, np.random.default_rng(1)))
+        assert scheme.gram_deviation() <= GRAM_TOL
+        assert not made(scheme)
+        assert "amps" not in vars(scheme) and "images" not in vars(scheme)
+
+    def test_verify_scheme_makes_no_block(self):
+        scheme = build_scheme(64, 2, 12)
+        assert verify_scheme(scheme, 2).passed
+        assert not made(scheme)
+
+    def test_certify_meb_makes_no_block(self):
+        family = ghz_basis(2, 9)
+        cert = certify_meb(family)
+        assert cert.passed and cert.count == cert.expected_count == 512
+        assert not made(family)
+        assert "amps" not in vars(family) and "states" not in vars(family)
+
+    def test_gemm_fallback_makes_the_block_once_for_its_owner(self):
+        # 9 x 81 entries, below PAIR_MIN_ENTRIES: the Gram takes the GEMM.
+        scheme = build_scheme(9, 3, 4)
+        scheme.gram_deviation()
+        assert "block" in vars(scheme._block) and "amps" not in vars(scheme)
+        assert scheme.amps is scheme._block.block
+
+    @pytest.mark.parametrize("first", ["amps", "images"])
+    def test_block_and_views_are_made_together_on_first_read(self, first):
+        scheme = build_scheme(8, 2, 6)
+        getattr(scheme, first)
+        amps, images = scheme.amps, scheme.images
+        assert scheme.amps is amps and scheme.images is images
+        assert amps.shape == (8, 64) and not amps.flags.writeable and amps.flags.owndata
+        for k, image in enumerate(images):
+            assert image.dims == (2,) * 6 and np.shares_memory(image.amps, amps)
+            assert image.amps.tobytes() == amps[k].tobytes()
+
+    @pytest.mark.parametrize("read", [False, True])
+    def test_pickles_before_and_after_the_block_is_made(self, read):
+        scheme = build_scheme(9, 3, 4)
+        if read:
+            scheme.images
+        copy = pickle.loads(pickle.dumps(scheme))
+        assert made(copy) is read
+        assert copy.gram_deviation() == scheme.gram_deviation()
+        assert copy.amps.tobytes() == scheme.amps.tobytes()
+
+    def test_unknown_attribute_still_raises(self):
+        scheme = build_scheme(4, 2, 4)
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            scheme.nope
+        assert not made(scheme)
+
+
+MASK_ARGV = ["mask", "--w", "4", "--d", "2", "--amps", "0.5,0.5,0.5,0.5", "--format", "text"]
+
+
+class TestCliMask:
+    def test_peak_is_about_the_masked_state(self, capsys):
+        # The masked (4, 2, 20) state is 16 MB; its image block, 64 MB, is never made.
+        tracemalloc.start()
+        try:
+            code = cli.main(MASK_ARGV + ["--m", "20"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 21
+        assert peak < 1.5 * 16 * 2**20
+
+    def test_masked_state_is_not_scanned(self, scans, capsys):
+        assert cli.main(MASK_ARGV + ["--m", "18"]) == 0
+        assert scans == []
+        assert len(capsys.readouterr().out.splitlines()) == 19
+
+
+class TestMaskedSupport:
+    @pytest.mark.parametrize("w,d,m", [(4, 2, 4), (9, 3, 4), (8, 2, 6), (27, 3, 7), (4, 2, 16)])
+    def test_is_the_scan_of_the_masked_state(self, w, d, m):
+        scheme = build_scheme(w, d, m)
+        masked = mask(scheme, haar_random_state(w, np.random.default_rng(m)))
+        assert_is_support(masked_support(scheme, masked), masked.amps[None])
+
+    def test_drops_cancellations_and_keeps_nan(self):
+        scheme = build_scheme(4, 2, 4)
+        # Images 0 and 1 cancel on half their support: exact zeros, dropped.
+        masked = mask(scheme, StateVector((4,), np.array([1, -1, 0, 0]) / np.sqrt(2)))
+        assert np.count_nonzero(masked.amps[np.unique(scheme._support[1])] == 0) > 0
+        assert_is_support(masked_support(scheme, masked), masked.amps[None])
+        nan_in = StateVector((4,), np.array([np.nan, 0.5, 0.5, 0.5]))
+        nan_out = mask(scheme, nan_in)
+        assert np.isnan(masked_support(scheme, nan_out)[2]).any()
+        assert_is_support(masked_support(scheme, nan_out), nan_out.amps[None])
+
+
+def factor_blocks(w, d, m):
+    """The dense ghz_amplitudes blocks of build_scheme's two factors."""
+    if m == 4:
+        left = right = ghz_amplitudes(d, 2, two_qudit_labels(d, w)).block
+    else:
+        left = ghz_amplitudes(d, m // 2, np.arange(w)).block
+        right = ghz_amplitudes(d, (m + 1) // 2, np.arange(w)).block
+    return left, right
+
+
+def ghz_scatter(d, n):
+    """ghz_basis(d, n) written eagerly into np.zeros, with indices from
+    np.ravel_multi_index: digit i of term j of label (s, t) is (j + t_i) mod d."""
+    count = d**n
+    s, t = np.divmod(np.arange(count), d ** (n - 1))
+    j = np.arange(d)
+    shifts = np.zeros((count, n), dtype=np.int64)
+    if n > 1:
+        shifts[:, 1:] = np.array(np.unravel_index(t, (d,) * (n - 1))).T
+    digits = (j[None, :, None] + shifts[:, None, :]) % d
+    idx = np.ravel_multi_index(tuple(np.moveaxis(digits, -1, 0)), (d,) * n)
+    amps = np.zeros((count, count), dtype=complex)
+    amps[np.arange(count)[:, None], idx] = np.exp(2j * np.pi / d) ** np.outer(s, j) / np.sqrt(d)
+    return amps
+
+
+class TestMadeBlockBytes:
+    # m = 4 in the two-qudit ordering, even and odd m, and w below capacity.
+    @pytest.mark.parametrize(
+        "w,d,m",
+        [(4, 2, 4), (9, 3, 4), (5, 3, 4), (16, 4, 4), (25, 5, 4), (11, 4, 4), (8, 2, 6), (7, 2, 6),
+         (13, 3, 6), (64, 4, 6), (4, 2, 5), (27, 3, 7), (5, 2, 7), (3, 5, 5), (25, 5, 5), (16, 2, 8),
+         (64, 2, 12)],
+    )
+    def test_scheme_block_is_the_row_wise_kron(self, w, d, m):
+        left, right = factor_blocks(w, d, m)
+        eager = np.array([np.kron(a, b) for a, b in zip(left, right)])
+        assert build_scheme(w, d, m).amps.tobytes() == eager.tobytes()
+
+    def test_signed_zeros_are_covered(self):
+        # The kron writes -0.0 where a negative factor entry meets a zero; a
+        # scatter into np.zeros would not.
+        amps = build_scheme(9, 3, 4).amps
+        signed = (amps == 0) & (np.signbit(amps.real) | np.signbit(amps.imag))
+        assert np.count_nonzero(signed) == 144
+
+    @pytest.mark.parametrize("d,n", [(d, n) for d, n in GHZ_WITHIN_BUDGET if d ** (2 * n) <= 2**16])
+    def test_ghz_basis_block_is_the_scatter(self, d, n):
+        assert ghz_basis(d, n).amps.tobytes() == ghz_scatter(d, n).tobytes()
+
+
+class TestLabelCount:
+    def test_label_count_must_match_the_states(self):
+        with pytest.raises(ValueError, match="2 labels for 4 states"):
+            MebFamily(2, 2, ghz_basis(2, 2).states, (0, 1))
+
+    def test_built_rows_are_counted_without_making_the_block(self):
+        fresh = ghz_amplitudes(2, 3, np.arange(8))
+        with pytest.raises(ValueError, match="7 labels for 8 states"):
+            MebFamily(2, 3, fresh, range(7))
+        assert "block" not in vars(fresh)
+
+    def test_block_shape_is_checked_first(self):
+        with pytest.raises(ValueError, match="state block shape"):
+            MebFamily(2, 2, np.zeros((3, 8), dtype=complex), range(2))
