@@ -119,8 +119,7 @@ def _cmd_mask(args) -> tuple[str, int]:
     # support comes from the scheme's, and the state is not scanned for it.
     scheme = masker.build_scheme(args.w, args.d, args.m)
     masked = masker.mask(scheme, _read_amplitudes(args, args.w))
-    support = masker.masked_support(scheme, masked)
-    marginals = [rho[0] for rho in party_marginals(masked.amps[None], masked.dims, support)]
+    marginals = [rho[0] for rho in party_marginals(masker.masked_block(scheme, masked), masked.dims)]
     if args.format == "json":
         doc = {
             "w": args.w,

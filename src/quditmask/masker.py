@@ -11,7 +11,7 @@ import numpy as np
 
 from .gates import Circuit, apply, append_ancilla, controlled_power_gate, fourier_gate
 from .meb import ghz_amplitudes, two_qudit_labels
-from .tensorcore import FreshBlock, ShapeError, StateVector, _StateBlock, check_size_budget, complex_pairs, gram_deviation
+from .tensorcore import Block, ShapeError, StateVector, _StateBlock, check_size_budget, complex_pairs, gram_deviation
 
 
 class BoundViolationError(ValueError):
@@ -49,7 +49,7 @@ class MaskingScheme(_StateBlock):
             )
 
     def gram_deviation(self) -> float:
-        return gram_deviation(self._block, self._support)
+        return gram_deviation(self._block)
 
 
 def masking_capacity(d: int, m: int) -> int:
@@ -93,15 +93,15 @@ def build_scheme(w: int, d: int, m: int) -> MaskingScheme:
         (4, 2, 4): "example1",
         (8, 2, 6): "example2",
     }.get((w, d, m), "theorem1" if m == 4 and w == d * d else "theorem2")
-    make = functools.partial(_kron_rows, left, right)
-    return MaskingScheme(w, d, m, FreshBlock.placed((w, d**m), rows, cols.reshape(-1), vals.reshape(-1), make), provenance)
+    make = functools.partial(_kron_rows, left.make, right.make)
+    return MaskingScheme(w, d, m, Block.at((w, d**m), rows, cols.reshape(-1), vals.reshape(-1), make), provenance)
 
 
-def _kron_rows(left: FreshBlock, right: FreshBlock) -> np.ndarray:
-    """The row-wise kron of two factor blocks, each entry one product, as
-    np.kron of the rows gives it. Unlike a scatter into np.zeros, it writes
-    -0.0 where a negative factor entry meets a zero."""
-    a, b = left.make(), right.make()
+def _kron_rows(make_left, make_right) -> np.ndarray:
+    """The row-wise kron of two factor blocks, made here and not kept, each
+    entry one product, as np.kron of the rows gives it. Unlike a scatter
+    into np.zeros, it writes -0.0 where a negative factor entry meets a zero."""
+    a, b = make_left(), make_right()
     images = np.empty((len(a), a.shape[1] * b.shape[1]), dtype=complex)
     np.multiply(a[:, :, None], b[:, None, :], out=images.reshape(len(a), a.shape[1], b.shape[1]))
     return images
@@ -126,18 +126,19 @@ def mask(scheme: MaskingScheme, state: StateVector) -> StateVector:
     # accumulates unbuffered in index order, and the support is row-major, so
     # each amplitude gets its terms in image order, as one axpy per image
     # would; the skipped terms a*0 are +-0 and never change a sum from +0.
-    rows, cols, vals = scheme._support
+    rows, cols, vals = scheme._block.support
     np.add.at(out, cols, state.amps[rows] * vals)
     return StateVector((scheme.d,) * scheme.m, out)
 
 
-def masked_support(scheme: MaskingScheme, masked: StateVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """support(masked.amps[None]) for masked = mask(scheme, a), with no scan:
-    mask writes only the columns of the images' support, so the nonzeros lie
-    in their sorted union. Exact cancellations are left out; NaN stays."""
-    cols = np.unique(scheme._support[1])
+def masked_block(scheme: MaskingScheme, masked: StateVector) -> Block:
+    """The one-row block of masked = mask(scheme, a), with its support placed
+    and not scanned: mask writes only the columns of the images' support, so
+    the nonzeros lie in their sorted union. Exact cancellations are left out
+    of the support; NaN stays."""
+    cols = np.unique(scheme._block.support[1])
     cols = cols[masked.amps[cols] != 0]
-    return np.zeros_like(cols), cols, masked.amps[cols]
+    return Block.of(masked.amps[None], (np.zeros_like(cols), cols, masked.amps[cols]))
 
 
 def digit_encode(state: StateVector, d: int) -> StateVector:

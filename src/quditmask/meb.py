@@ -10,7 +10,7 @@ import numpy as np
 from .tensorcore import (
     GRAM_TOL,
     MEB_MARGINAL_TOL,
-    FreshBlock,
+    Block,
     StateVector,
     _StateBlock,
     check_size_budget,
@@ -59,7 +59,7 @@ class MebCertification:
         return self.orthonormal and self.marginals_maximally_mixed and self.complete
 
 
-def ghz_amplitudes(d: int, n_parties: int, labels) -> FreshBlock:
+def ghz_amplitudes(d: int, n_parties: int, labels) -> Block:
     """The block of the ghz_basis(d, n_parties) elements with the given
     labels, one row per label, as its support, computed directly, and a
     maker that scatters it into np.zeros: the d entries of a row ascend, as
@@ -75,7 +75,7 @@ def ghz_amplitudes(d: int, n_parties: int, labels) -> FreshBlock:
         idx = idx * d + (j + t[:, None] // d**place) % d
     vals = np.exp(2j * np.pi / d) ** np.outer(s, j) / np.sqrt(d)
     rows = np.repeat(np.arange(labels.size), d)
-    return FreshBlock.placed((labels.size, d**n_parties), rows, idx.reshape(-1), vals.reshape(-1))
+    return Block.at((labels.size, d**n_parties), rows, idx.reshape(-1), vals.reshape(-1))
 
 
 def two_qudit_labels(d: int, count: int) -> np.ndarray:
@@ -114,8 +114,8 @@ def certify_meb(family: MebFamily) -> MebCertification:
     """Check orthonormality, single-party maximal mixedness, and completeness."""
     expected = family.d**family.n_parties
     count = family._block.shape[0]
-    gram_dev = gram_deviation(family._block, family._support)
-    marginals = party_marginals(family._block, (family.d,) * family.n_parties, family._support)
+    gram_dev = gram_deviation(family._block)
+    marginals = party_marginals(family._block, (family.d,) * family.n_parties)
     marg_devs = [max_distance_to_maximally_mixed(rho) for rho in marginals]
     # np.max, unlike the builtin max, keeps NaN, so a NaN state fails the check.
     marg_dev = float(np.max(marg_devs, initial=0.0))

@@ -107,47 +107,57 @@ def basis_state(dims: list[int] | tuple[int, ...], digits: list[int] | tuple[int
     return StateVector(dims, amps)
 
 
-@dataclass(frozen=True, eq=False)
-class FreshBlock:
-    """A complex (N, dim) block the package builds but has not made: its
-    shape, its support, equal to support(block) entry for entry, and `make`,
-    which allocates the block and keeps no reference to it. `block` is the
-    read-only block, made on first read and kept; readers of the shape and
-    support alone never make it."""
+class Block:
+    """A complex (N, dim) block of amplitudes: its `shape`, `amps`, and
+    `support`, equal to support(amps) entry for entry. A built block has the
+    support its builder placed and `make`, which allocates the block and
+    keeps no reference to it; its read-only `amps` is made on first read and
+    kept, so readers of the shape and support alone never make it. A block
+    of an existing array has no maker, and its support is scanned on first
+    read unless it was placed."""
 
-    shape: tuple[int, int]
-    support: tuple[np.ndarray, np.ndarray, np.ndarray]
-    make: Callable[[], np.ndarray]
+    def __init__(self, shape: tuple[int, int], make: Callable[[], np.ndarray] | None = None):
+        self.shape = shape
+        self.make = make
 
     @classmethod
-    def placed(cls, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-               make: Callable[[], np.ndarray] | None = None) -> FreshBlock:
+    def at(cls, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+           make: Callable[[], np.ndarray] | None = None) -> Block:
         """The block whose builder placed `vals` at (rows, cols), in
         row-major order, and zeros elsewhere; `make` defaults to writing
         them into np.zeros. Zero values are left out of the support."""
         if make is None:
             make = functools.partial(_scatter, shape, rows, cols, vals)
+        block = cls(shape, make)
         nonzero = vals != 0  # NaN stays in the support, as in support()
-        if nonzero.all():
-            return cls(shape, (rows, cols, vals), make)
-        return cls(shape, (rows[nonzero], cols[nonzero], vals[nonzero]), make)
+        block.support = (rows, cols, vals) if nonzero.all() else (rows[nonzero], cols[nonzero], vals[nonzero])
+        return block
+
+    @classmethod
+    def of(cls, amps: np.ndarray, placed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> Block:
+        """The block of an existing (N, dim) array, held as it is; `placed`,
+        if given, is its support, and the array is not scanned for it."""
+        block = cls(amps.shape)
+        block.amps = amps
+        if placed is not None:
+            block.support = placed
+        return block
 
     @functools.cached_property
-    def block(self) -> np.ndarray:
-        block = self.make()
-        block.flags.writeable = False
-        return block
+    def amps(self) -> np.ndarray:
+        amps = self.make()
+        amps.flags.writeable = False
+        return amps
+
+    @functools.cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return support(self.amps)
 
 
 def _scatter(shape, rows, cols, vals) -> np.ndarray:
     block = np.zeros(shape, dtype=complex)
     block[rows, cols] = vals
     return block
-
-
-def _dense(amps):
-    """An (N, dim) ndarray, or a FreshBlock's block, made if need be."""
-    return amps.block if isinstance(amps, FreshBlock) else amps
 
 
 def _checked_dims(shape, dims, count: int | None, noun: str) -> tuple[int, ...]:
@@ -167,68 +177,50 @@ def _row_views(amps: np.ndarray, dims: tuple[int, ...]) -> tuple[StateVector, ..
     return views
 
 
-def stack_states(states, dims: tuple[int, ...], count: int | None, noun: str) -> tuple[np.ndarray, tuple[StateVector, ...]]:
-    """States on `dims`, given as an (N, prod(dims)) block or a sequence of
-    StateVectors (N = count unless count is None), as one new read-only
-    block plus read-only StateVector views of its rows; `noun` names a
-    state in errors. A caller's block is copied, so no view of it made
-    before or after can rewrite the states."""
-    if isinstance(states, np.ndarray):
-        amps = np.array(states, dtype=complex)
-    else:
-        states = tuple(states)
-        if count is not None and len(states) != count:
-            raise ValueError(f"expected {count} {noun}s, got {len(states)}")
-        for s in states:
-            if s.dims != dims:
-                raise ValueError(f"{noun} dims {s.dims} != {dims}")
-        width = states[0].dim if states else _capped_prod(dims, 2**62)
-        if width > 2**62:
-            raise ValueError(f"a register of {_size_name(dims)} amplitudes is too large for an empty {noun} block")
-        amps = np.empty((len(states), width), dtype=complex)
-        for row, s in zip(amps, states):
-            row[:] = s.amps
-    # The dims are checked once for the block, with or without rows.
-    dims = _checked_dims(amps.shape, dims, count, noun)
-    amps.flags.writeable = False
-    return amps, _row_views(amps, dims)
-
-
 class _StateBlock:
-    """Base of the frozen dataclasses that hold N states on one register:
-    one read-only (N, dim) block `amps`, read-only StateVector views of its
-    rows in the field named by `_ROWS`, and `_support`, equal to
-    support(amps). A caller's states are stacked at construction. A
-    FreshBlock is held as its shape and support: `amps` and the views are
-    made together on first read of either, and readers of the support alone
-    never make them. `_block` is the FreshBlock or the stacked block."""
+    """Base of the frozen dataclasses that hold N states on one register as
+    one Block, `_block`. The states may be given as a Block, which is held
+    as it is, or as an (N, prod(dims)) array or a sequence of StateVectors,
+    which are copied into a new read-only block, so no view of the caller's
+    array can rewrite them. The read-only block `amps` and StateVector views
+    of its rows, in the field named by `_ROWS`, are made together on first
+    read of either; readers of the block's shape and support never make
+    them."""
 
     _ROWS: str
 
     def _hold(self, dims: tuple[int, ...], count: int | None, noun: str) -> None:
         states = getattr(self, self._ROWS)
-        if isinstance(states, FreshBlock):
-            dims = _checked_dims(states.shape, dims, count, noun)
-            del self.__dict__[self._ROWS]  # made with `amps`, by __getattr__
-        else:
-            states, views = stack_states(states, dims, count, noun)
-            self.__dict__.update({"amps": states, self._ROWS: views})
+        if not isinstance(states, Block):
+            if isinstance(states, np.ndarray):
+                amps = np.array(states, dtype=complex)
+            else:
+                states = tuple(states)
+                if count is not None and len(states) != count:
+                    raise ValueError(f"expected {count} {noun}s, got {len(states)}")
+                for s in states:
+                    if s.dims != dims:
+                        raise ValueError(f"{noun} dims {s.dims} != {dims}")
+                width = states[0].dim if states else _capped_prod(dims, 2**62)
+                if width > 2**62:
+                    raise ValueError(f"a register of {_size_name(dims)} amplitudes is too large for an empty {noun} block")
+                amps = np.empty((len(states), width), dtype=complex)
+                for row, s in zip(amps, states):
+                    row[:] = s.amps
+            amps.flags.writeable = False
+            states = Block.of(amps)
+        # The dims are checked once for the block, with or without rows.
+        dims = _checked_dims(states.shape, dims, count, noun)
+        del self.__dict__[self._ROWS]  # made with `amps`, by __getattr__
         self.__dict__.update(_block=states, _dims=dims)
 
     def __getattr__(self, name):
-        # Called only for names not set: `amps` and the views of a FreshBlock.
+        # Called only for names not set: `amps` and the row views.
         if name not in ("amps", self._ROWS):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        amps = self._block.block
+        amps = self._block.amps
         self.__dict__.update({"amps": amps, self._ROWS: _row_views(amps, self._dims)})
         return self.__dict__[name]
-
-    @functools.cached_property
-    def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row, column, value) of each nonzero entry, in row-major order:
-        the builder's, if it gave one, else derived from `amps` on first use."""
-        block = self._block
-        return block.support if isinstance(block, FreshBlock) else support(block)
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,20 +314,21 @@ PAIR_BYTES = 96  # working bytes per ordered pair in _pair_sums (tracemalloc: 74
 PAIR_CALL_ENTRIES = 2**14
 
 
-def _sparse_support(amps, sup=None):
+def _sparse_support(block: Block):
     """The support of an (N, D) block if the pair kernel should read it:
     the block has at least PAIR_MIN_ENTRIES entries, decided before any scan,
     and at most one in PAIR_MAX_FILL of them is nonzero. None otherwise (the
-    GEMM). `sup` is the block's support, if the caller has it; else the
-    block, an ndarray, is scanned here. A FreshBlock comes with its support."""
-    size = amps.shape[0] * amps.shape[1]
+    GEMM). A block whose support is not yet taken has its nonzeros counted
+    first, so a dense block never builds one; a sparse one keeps it."""
+    size = block.shape[0] * block.shape[1]
     if size < PAIR_MIN_ENTRIES:
         return None
-    if sup is None:
-        nonzero = amps != 0
+    if "support" not in vars(block):
+        nonzero = block.amps != 0
         if PAIR_MAX_FILL * np.count_nonzero(nonzero) > size:
             return None
-        return support(amps, nonzero)
+        block.support = support(block.amps, nonzero)
+    sup = block.support
     return sup if PAIR_MAX_FILL * len(sup[2]) <= size else None
 
 
@@ -374,18 +367,18 @@ def _pair_sums(keys, left, right, vals, size=None):
     return bins, sums
 
 
-def _pair_marginals(amps, dims: tuple[int, ...], keeps, sup):
+def _pair_marginals(block: Block, dims: tuple[int, ...], keeps):
     """The (N, dk, dk) marginals of an (N, D) block on each keep-set of
-    `keeps`, from one _pair_sums call over the support `sup`; None if the
-    pairs are over the size budget.
+    `keeps`, from one _pair_sums call over its support; None if the pairs
+    are over the size budget.
 
     Each column splits into its kept index and its rest (the column with the
     kept digits zeroed); entries sharing (keep-set, row, rest) pair up. The
     stable sort keeps each keep-set's entries in the order they have alone,
     and each keep-set's bins lie past the previous one's, so every marginal
     gets the bits it gets with its keep-set alone."""
-    rows, cols, vals = sup
-    n, width = amps.shape
+    rows, cols, vals = block.support
+    n, width = block.shape
     size = len(vals)
     d_keeps = [math.prod(dims[p] for p in keep) for keep in keeps]
     starts = np.cumsum([0] + [n * dk * dk for dk in d_keeps])
@@ -408,12 +401,13 @@ def _pair_marginals(amps, dims: tuple[int, ...], keeps, sup):
     return [rho[starts[b]:starts[b + 1]].reshape(n, dk, dk) for b, dk in enumerate(d_keeps)]
 
 
-def _marginal_stacks(amps, dims: tuple[int, ...], keeps, sup=None) -> list[np.ndarray]:
-    """The (N, dk, dk) marginals of reduced_densities on each keep-set of
-    `keeps`, unchecked: from the pairs of the support `sup` when given and
-    within budget, as many keep-sets to a _pair_sums call as the size
-    budget and PAIR_CALL_ENTRIES admit; else one GEMM per keep-set, on the
-    block made if `amps` is a FreshBlock."""
+def _marginal_stacks(block: Block, dims: tuple[int, ...], keeps) -> list[np.ndarray]:
+    """The (N, dk, dk) reduced density matrices of the rows of an (N, D)
+    block on each keep-set of `keeps`, dk the product of the kept
+    dimensions, with the kept parties in their relative order; unchecked.
+    A sparse block (_sparse_support) takes the pairs of its support, as many
+    keep-sets to a _pair_sums call as the size budget and PAIR_CALL_ENTRIES
+    admit; the rest take one GEMM per keep-set, on the block made if need be."""
     dims = tuple(dims)
     keeps = [sorted(set(map(int, keep))) for keep in keeps]
     for keep in keeps:
@@ -422,6 +416,7 @@ def _marginal_stacks(amps, dims: tuple[int, ...], keeps, sup=None) -> list[np.nd
         if keep[0] < 0 or keep[-1] >= len(dims):
             raise ValueError(f"keep-set {keep} out of range for {len(dims)} parties")
     out = [None] * len(keeps)
+    sup = _sparse_support(block)
     if sup is not None:
         # A group's entries differ only in their kept digits, so an entry has
         # at most dk partners, and its keys cost about one more pair. One
@@ -430,47 +425,26 @@ def _marginal_stacks(amps, dims: tuple[int, ...], keeps, sup=None) -> list[np.nd
         entries = min(PAIR_CALL_ENTRIES, SIZE_BUDGET_BYTES // (PAIR_BYTES * (d_max + 1)))
         per_call = max(1, entries // max(len(sup[2]), 1))
         for start in range(0, len(keeps), per_call):
-            rhos = _pair_marginals(amps, dims, keeps[start:start + per_call], sup)
+            rhos = _pair_marginals(block, dims, keeps[start:start + per_call])
             if rhos is not None:
                 out[start:start + per_call] = rhos
-    n = amps.shape[0]
+    n = block.shape[0]
     for k, keep in enumerate(keeps):
         if out[k] is None:
-            amps = _dense(amps)
             d_keep = math.prod(dims[i] for i in keep)
             drop = [i for i in range(len(dims)) if i not in keep]
-            psi = amps.reshape((n,) + dims).transpose([0] + [i + 1 for i in keep + drop])
+            psi = block.amps.reshape((n,) + dims).transpose([0] + [i + 1 for i in keep + drop])
             psi = psi.reshape(n, d_keep, math.prod(dims) // d_keep)
             out[k] = psi @ psi.conj().transpose(0, 2, 1)
     return out
 
 
-def _marginals(amps: np.ndarray, dims: tuple[int, ...], keep, sup=None) -> np.ndarray:
-    """The (N, dk, dk) marginals of reduced_densities, unchecked: from the
-    pairs of the support `sup` when given and within budget, else one GEMM."""
-    return _marginal_stacks(amps, dims, [keep], sup)[0]
-
-
-def reduced_densities(amps: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
-    """Reduced density matrices on the `keep` parties of a stack of states.
-
-    amps: (N, prod(dims)) amplitudes, one state per row. Returns the
-    (N, dk, dk) marginals, dk the product of the kept dimensions, with the
-    kept parties in their relative order. The whole stack is checked at
-    once against the DensityMatrix tolerances, with the same messages.
-    """
-    rho = _marginals(amps, dims, keep, _sparse_support(amps))
-    _check_densities(rho)
-    return rho
-
-
-def party_marginals(amps, dims: tuple[int, ...], support=None) -> list[np.ndarray]:
-    """reduced_densities(amps, dims, [p]) for every party p, from one scan of
-    the block's support, or none if `support` gives it (equal to
-    support(amps)), and, on the pair path, as few _pair_sums calls as the
-    size budget and PAIR_CALL_ENTRIES admit. `amps` is an ndarray, or a
-    FreshBlock with its support, made only if the GEMM reads it."""
-    out = _marginal_stacks(amps, dims, [[p] for p in range(len(dims))], _sparse_support(amps, support))
+def party_marginals(block: Block, dims: tuple[int, ...]) -> list[np.ndarray]:
+    """The (N, d_p, d_p) one-party marginals of the rows of an (N, D) block
+    for every party p, each stack checked once against the DensityMatrix
+    tolerances. A sparse block's are taken from its support, in as few
+    _pair_sums calls as the size budget and PAIR_CALL_ENTRIES admit."""
+    out = _marginal_stacks(block, dims, [[p] for p in range(len(dims))])
     for rho in out:
         _check_densities(rho)
     return out
@@ -479,11 +453,10 @@ def party_marginals(amps, dims: tuple[int, ...], support=None) -> list[np.ndarra
 def partial_trace(state: StateVector, keep: list[int] | tuple[int, ...] | set[int]) -> DensityMatrix:
     """Reduced density matrix on the `keep` parties, tracing out the rest.
 
-    The kept parties retain their relative order. A batch of one for
-    reduced_densities; DensityMatrix validates the result.
+    The kept parties retain their relative order; DensityMatrix validates
+    the result.
     """
-    amps = state.amps[None]
-    rho = _marginals(amps, state.dims, keep, _sparse_support(amps))[0]
+    (rho,) = _marginal_stacks(Block.of(state.amps[None]), state.dims, [keep])[0]
     return DensityMatrix(len(rho), rho)
 
 
@@ -494,16 +467,15 @@ def max_distance_to_maximally_mixed(mats: np.ndarray) -> float:
     return float(np.abs(mats - np.eye(d) / d).max(initial=0.0))
 
 
-def gram_deviation(amps, support=None) -> float:
-    """Max-entry norm of G - I for the Gram matrix G of the rows of a
-    (N, dim) amplitude block; 0.0 if N = 0. A sparse block sums the pairs of
-    entries sharing a column into the entries of conj(G) they reach, with no
-    conjugated copy of the block and no N x N matrix; every other entry of G
-    is 0, at distance 1 from I on the diagonal and 0 off it. `support`, if
-    given, is support(amps), and the block is not scanned for it. `amps` is
-    an ndarray, or a FreshBlock with its support, made only for the GEMM."""
-    n = amps.shape[0]
-    sup = _sparse_support(amps, support)
+def gram_deviation(block: Block) -> float:
+    """Max-entry norm of G - I for the Gram matrix G of the rows of an
+    (N, dim) block; 0.0 if N = 0. A sparse block (_sparse_support) sums the
+    pairs of entries sharing a column into the entries of conj(G) they
+    reach, with no conjugated copy of the block and no N x N matrix; every
+    other entry of G is 0, at distance 1 from I on the diagonal and 0 off it.
+    Any other block is made if need be for one GEMM."""
+    n = block.shape[0]
+    sup = _sparse_support(block)
     if sup is not None:
         order = np.argsort(sup[1], kind="stable")
         rows, cols, vals = (a[order] for a in sup)
@@ -513,7 +485,7 @@ def gram_deviation(amps, support=None) -> float:
             diagonal = bins % (n + 1) == 0
             unreached = 1.0 if np.count_nonzero(diagonal) < n else 0.0
             return float(np.abs(sums - diagonal).max(initial=unreached))
-    amps = _dense(amps)
+    amps = block.amps
     return float(np.abs(amps.conj() @ amps.T - np.eye(n)).max(initial=0.0))
 
 

@@ -23,14 +23,15 @@ from quditmask import (
     verify_scheme,
 )
 from quditmask import cli, masker, meb, tensorcore
-from quditmask.masker import masked_support
+from quditmask.masker import masked_block
 from quditmask.meb import ghz_amplitudes, two_qudit_labels
 from quditmask.tensorcore import (
     GRAM_TOL,
     SIZE_BUDGET_BYTES,
-    FreshBlock,
+    Block,
     _pair_sums,
     gram_deviation,
+    max_distance_to_maximally_mixed,
     party_marginals,
     support,
 )
@@ -60,17 +61,17 @@ class TestBuilderSupportIsTheScan:
             rng = np.random.default_rng(d * 10 + n)
             labels = np.unique(np.concatenate(([0, count - 1], rng.choice(count, 62, replace=False))))
         fresh = ghz_amplitudes(d, n, labels)
-        assert_is_support(fresh.support, fresh.block)
+        assert_is_support(fresh.support, fresh.amps)
 
     @pytest.mark.parametrize("d,n", [(d, n) for d, n in GHZ_WITHIN_BUDGET if d ** (2 * n) <= SMALL])
     def test_ghz_basis(self, d, n):
         family = ghz_basis(d, n)
-        assert_is_support(family._support, family.amps)
+        assert_is_support(family._block.support, family.amps)
 
     @pytest.mark.parametrize("d", range(2, 8))
     def test_two_qudit_meb(self, d):
         family = two_qudit_meb(d)
-        assert_is_support(family._support, family.amps)
+        assert_is_support(family._block.support, family.amps)
 
     # m = 4 in the two-qudit ordering, even and odd m, and w below capacity.
     @pytest.mark.parametrize(
@@ -80,7 +81,7 @@ class TestBuilderSupportIsTheScan:
     )
     def test_build_scheme(self, w, d, m):
         scheme = build_scheme(w, d, m)
-        assert_is_support(scheme._support, scheme.amps)
+        assert_is_support(scheme._block.support, scheme.amps)
 
     def test_placed_drops_zeros_and_keeps_nan(self):
         block = np.zeros((2, 4), dtype=complex)
@@ -88,10 +89,10 @@ class TestBuilderSupportIsTheScan:
         block[1, 0] = -0.5
         # (0, 0) and (1, 2) are placed but hold zeros.
         rows, cols = np.array([0, 0, 0, 1, 1]), np.array([0, 1, 3, 0, 2])
-        fresh = FreshBlock.placed(block.shape, rows, cols, block[rows, cols])
+        fresh = Block.at(block.shape, rows, cols, block[rows, cols])
         assert_is_support(fresh.support, block)
-        assert fresh.block.tobytes() == block.tobytes()  # the default maker's scatter
-        assert FreshBlock.placed(block.shape, rows, cols, block[rows, cols], lambda: block).block is block
+        assert fresh.amps.tobytes() == block.tobytes()  # the default maker's scatter
+        assert Block.at(block.shape, rows, cols, block[rows, cols], lambda: block).amps is block
 
 
 @pytest.fixture
@@ -160,11 +161,12 @@ class TestSameBitsAsTheScan:
     def test_certify_meb(self, make):
         built = make()
         caller = caller_family(built)
-        assert "_support" not in vars(caller)
+        assert "support" not in vars(caller._block)
         assert repr(certify_meb(built)) == repr(certify_meb(caller))
         dims = (built.d,) * built.n_parties
-        ours = party_marginals(built.amps, dims, built._support)
-        assert [rho.tobytes() for rho in ours] == [rho.tobytes() for rho in party_marginals(built.amps, dims)]
+        ours = party_marginals(built._block, dims)
+        scanned = party_marginals(Block.of(built.amps), dims)
+        assert [rho.tobytes() for rho in ours] == [rho.tobytes() for rho in scanned]
 
     # The last three take the pairs.
     @pytest.mark.parametrize("w,d,m", [(9, 3, 4), (16, 2, 8), (64, 2, 12), (4, 2, 16), (4, 2, 18)])
@@ -172,9 +174,66 @@ class TestSameBitsAsTheScan:
         built = build_scheme(w, d, m)
         caller = MaskingScheme(w, d, m, built.amps)
         gram = built.gram_deviation()
-        assert gram.hex() == caller.gram_deviation().hex() == gram_deviation(built.amps).hex()
+        assert gram.hex() == caller.gram_deviation().hex() == gram_deviation(Block.of(built.amps)).hex()
         state = haar_random_state(w, np.random.default_rng(w))
         assert mask(built, state).amps.tobytes() == mask(caller, state).amps.tobytes()
+
+
+class TestKernelsTakeTheBlockAlone:
+    """A built scheme's or basis's block goes to the kernels as it is, with
+    the bits the scheme's own Gram, certify_meb and a scan of the made
+    block give. (4, 2, 18) and (2, 9) take the pairs; (9, 3, 4) and
+    two_qudit_meb(3) take the GEMM."""
+
+    @pytest.mark.parametrize("w,d,m", [(4, 2, 18), (9, 3, 4)])
+    def test_gram_deviation(self, w, d, m):
+        scheme = build_scheme(w, d, m)
+        gram = gram_deviation(scheme._block)
+        assert gram.hex() == scheme.gram_deviation().hex()
+        assert gram.hex() == gram_deviation(Block.of(build_scheme(w, d, m).amps)).hex()
+
+    @pytest.mark.parametrize("make", [lambda: ghz_basis(2, 9), lambda: two_qudit_meb(3)])
+    def test_party_marginals(self, make):
+        family = make()
+        dims = (family.d,) * family.n_parties
+        ours = party_marginals(family._block, dims)
+        deviation = float(np.max([max_distance_to_maximally_mixed(rho) for rho in ours]))
+        assert deviation.hex() == certify_meb(family).max_marginal_deviation.hex()
+        scanned = party_marginals(Block.of(make().amps), dims)
+        assert [rho.tobytes() for rho in ours] == [rho.tobytes() for rho in scanned]
+
+    def test_pair_path_makes_no_block(self):
+        scheme, family = build_scheme(4, 2, 18), ghz_basis(2, 9)
+        gram_deviation(scheme._block)
+        party_marginals(family._block, (2,) * 9)
+        assert not made(scheme) and not made(family)
+
+
+class TestDenseCallerScheme:
+    """A dense caller's scheme takes the GEMM for its Gram, and its nonzeros
+    are counted before any support is taken, so the Gram builds none; mask
+    still takes the support and keeps it."""
+
+    def test_gram_builds_no_support(self):
+        rng = np.random.default_rng(2)
+        z = rng.standard_normal((2**18, 4)) + 1j * rng.standard_normal((2**18, 4))
+        scheme = MaskingScheme(4, 2, 18, np.linalg.qr(z)[0].T)
+        del z
+        image_bytes = scheme._block.amps.nbytes  # B, 16 MB
+        tracemalloc.start()
+        try:
+            deviation = scheme.gram_deviation()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert deviation <= GRAM_TOL
+        assert peak <= 1.25 * image_bytes  # the GEMM's conjugated copy is 1.0 B
+        assert "support" not in vars(scheme._block)
+        mask(scheme, basis_state((4,), (0,)))
+        sup = scheme._block.support
+        assert len(sup[2]) == 4 * 2**18
+        mask(scheme, basis_state((4,), (1,)))
+        assert scheme._block.support is sup
 
 
 class TestDenseMarginalBins:
@@ -197,12 +256,12 @@ class TestDenseMarginalBins:
             raise AssertionError("np.unique on the marginals' bins")
 
         monkeypatch.setattr(np, "unique", no_sort)
-        party_marginals(family.amps, (2,) * 9, family._support)
+        party_marginals(family._block, (2,) * 9)
 
 
 def made(obj):
     """Whether a scheme's or family's dense block has been made."""
-    return "amps" in vars(obj) or "block" in vars(obj._block)
+    return "amps" in vars(obj) or "amps" in vars(obj._block)
 
 
 class TestNoBlockMade:
@@ -229,8 +288,8 @@ class TestNoBlockMade:
         # 9 x 81 entries, below PAIR_MIN_ENTRIES: the Gram takes the GEMM.
         scheme = build_scheme(9, 3, 4)
         scheme.gram_deviation()
-        assert "block" in vars(scheme._block) and "amps" not in vars(scheme)
-        assert scheme.amps is scheme._block.block
+        assert "amps" in vars(scheme._block) and "amps" not in vars(scheme)
+        assert scheme.amps is scheme._block.amps
 
     @pytest.mark.parametrize("first", ["amps", "images"])
     def test_block_and_views_are_made_together_on_first_read(self, first):
@@ -283,31 +342,35 @@ class TestCliMask:
 
 
 class TestMaskedSupport:
+    """masked_block places the masked state's support, and it is the scan."""
+
     @pytest.mark.parametrize("w,d,m", [(4, 2, 4), (9, 3, 4), (8, 2, 6), (27, 3, 7), (4, 2, 16)])
     def test_is_the_scan_of_the_masked_state(self, w, d, m):
         scheme = build_scheme(w, d, m)
         masked = mask(scheme, haar_random_state(w, np.random.default_rng(m)))
-        assert_is_support(masked_support(scheme, masked), masked.amps[None])
+        block = masked_block(scheme, masked)
+        assert block.shape == (1, d**m) and np.shares_memory(block.amps, masked.amps)
+        assert_is_support(block.support, masked.amps[None])
 
     def test_drops_cancellations_and_keeps_nan(self):
         scheme = build_scheme(4, 2, 4)
         # Images 0 and 1 cancel on half their support: exact zeros, dropped.
         masked = mask(scheme, StateVector((4,), np.array([1, -1, 0, 0]) / np.sqrt(2)))
-        assert np.count_nonzero(masked.amps[np.unique(scheme._support[1])] == 0) > 0
-        assert_is_support(masked_support(scheme, masked), masked.amps[None])
+        assert np.count_nonzero(masked.amps[np.unique(scheme._block.support[1])] == 0) > 0
+        assert_is_support(masked_block(scheme, masked).support, masked.amps[None])
         nan_in = StateVector((4,), np.array([np.nan, 0.5, 0.5, 0.5]))
         nan_out = mask(scheme, nan_in)
-        assert np.isnan(masked_support(scheme, nan_out)[2]).any()
-        assert_is_support(masked_support(scheme, nan_out), nan_out.amps[None])
+        assert np.isnan(masked_block(scheme, nan_out).support[2]).any()
+        assert_is_support(masked_block(scheme, nan_out).support, nan_out.amps[None])
 
 
 def factor_blocks(w, d, m):
     """The dense ghz_amplitudes blocks of build_scheme's two factors."""
     if m == 4:
-        left = right = ghz_amplitudes(d, 2, two_qudit_labels(d, w)).block
+        left = right = ghz_amplitudes(d, 2, two_qudit_labels(d, w)).amps
     else:
-        left = ghz_amplitudes(d, m // 2, np.arange(w)).block
-        right = ghz_amplitudes(d, (m + 1) // 2, np.arange(w)).block
+        left = ghz_amplitudes(d, m // 2, np.arange(w)).amps
+        right = ghz_amplitudes(d, (m + 1) // 2, np.arange(w)).amps
     return left, right
 
 
@@ -361,7 +424,7 @@ class TestLabelCount:
         fresh = ghz_amplitudes(2, 3, np.arange(8))
         with pytest.raises(ValueError, match="7 labels for 8 states"):
             MebFamily(2, 3, fresh, range(7))
-        assert "block" not in vars(fresh)
+        assert "amps" not in vars(fresh)
 
     def test_block_shape_is_checked_first(self):
         with pytest.raises(ValueError, match="state block shape"):

@@ -446,15 +446,20 @@ class TestSupportMask:
         assert not np.signbit(out.imag[out.imag == 0]).any()
 
     def test_support_is_computed_once_per_scheme(self):
-        scheme = build_scheme(16, 2, 8)
-        assert "_support" not in vars(scheme)
+        built = build_scheme(16, 2, 8)
+        scheme = MaskingScheme(16, 2, 8, built.amps)
+        assert "support" not in vars(scheme._block)
         mask(scheme, basis_state((16,), (0,)))
-        first = scheme._support
+        first = scheme._block.support
         mask(scheme, basis_state((16,), (1,)))
-        assert scheme._support is first
+        assert scheme._block.support is first
         assert len(first[0]) == 16 * 2**2  # d^2 nonzeros per image
-        assert "_support" not in repr(scheme)
+        assert "support" not in repr(scheme)
         assert set(scheme_to_json_dict(scheme)) == {"w", "d", "m", "provenance", "images"}
+        # A built scheme's support is the one its builder placed, kept as it is.
+        placed = built._block.support
+        mask(built, basis_state((16,), (0,)))
+        assert built._block.support is placed
 
     def test_nan_image_entry_is_in_the_support(self):
         base = example1_scheme()
@@ -462,7 +467,7 @@ class TestSupportMask:
         (zero,) = np.flatnonzero(amps[1] == 0)[:1]
         amps[1, zero] = np.nan
         scheme = MaskingScheme(4, 2, 4, amps)
-        rows, cols, _ = scheme._support
+        rows, cols, _ = scheme._block.support
         assert (1, zero) in set(zip(rows.tolist(), cols.tolist()))
         out = mask(scheme, basis_state((4,), (1,))).amps
         assert np.isnan(out[zero])

@@ -10,9 +10,11 @@ import pytest
 
 from quditmask import (
     Circuit,
+    MaskingScheme,
     StateVector,
     append_ancilla,
     apply,
+    basis_state,
     build_scheme,
     circuit_mask,
     digit_encode,
@@ -20,6 +22,7 @@ from quditmask import (
     mask,
     qubit4_circuit,
     qudit4_circuit,
+    verify_scheme,
 )
 from quditmask.cli import EXIT_OK, main
 from quditmask.gates import apply_gate, controlled_power_gate, fourier_gate
@@ -99,13 +102,23 @@ def test_odd_d_output_within_1e15_of_old_order_and_mask(capsys, d):
     assert np.abs(got - mask(build_scheme(d * d, d, 4), x).amps).max() <= 1e-15
 
 
-@pytest.mark.parametrize("d", range(2, 8))
+@pytest.mark.parametrize("d", range(2, 10))
 def test_circuit_route_within_1e15_of_mask(d):
     rng = np.random.default_rng(100 + d)
     scheme = build_scheme(d * d, d, 4)
     for _ in range(30):
         x = haar_random_state(d * d, rng)
         assert np.abs(circuit_mask(d, x).amps - mask(scheme, x).amps).max() <= 1e-15
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_circuit_images_verify_as_a_caller_scheme(d):
+    # The circuit's outputs on the d^2 basis inputs are the columns of its
+    # map; stacked as a caller's scheme, they are scanned, not built.
+    images = [circuit_mask(d, basis_state((d * d,), (k,))) for k in range(d * d)]
+    scheme = MaskingScheme(d * d, d, 4, images)
+    report = verify_scheme(scheme, n_samples=2)
+    assert report.passed, report.checks
 
 
 @pytest.mark.parametrize("party", range(4))

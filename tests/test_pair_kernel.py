@@ -28,12 +28,11 @@ from quditmask import tensorcore
 from quditmask.tensorcore import (
     PAIR_BYTES,
     PAIR_CALL_ENTRIES,
-    _marginals,
+    Block,
+    _marginal_stacks,
     _sparse_support,
     gram_deviation,
     party_marginals,
-    reduced_densities,
-    support,
 )
 
 
@@ -41,12 +40,34 @@ def _gemm_gram_deviation(amps):
     return float(np.abs(amps.conj() @ amps.T - np.eye(len(amps))).max(initial=0.0))
 
 
+def _lift_thresholds(m):
+    """Lift the size and fill thresholds under the MonkeyPatch m, so any block takes the pairs."""
+    m.setattr(tensorcore, "PAIR_MIN_ENTRIES", 0)
+    m.setattr(tensorcore, "PAIR_MAX_FILL", 1)
+
+
 def _pair_gram_deviation(amps):
-    """gram_deviation with the size and fill thresholds lifted, so any block takes the pairs."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(tensorcore, "PAIR_MIN_ENTRIES", 0)
-        m.setattr(tensorcore, "PAIR_MAX_FILL", 1)
-        return gram_deviation(amps)
+        _lift_thresholds(m)
+        return gram_deviation(Block.of(amps))
+
+
+def _marginals(amps, dims, keep):
+    """The unchecked marginals on `keep` of the rows of `amps`, on the path
+    the thresholds choose."""
+    return _marginal_stacks(Block.of(amps), dims, [keep])[0]
+
+
+def _pair_marginals(amps, dims, keep):
+    with pytest.MonkeyPatch.context() as m:
+        _lift_thresholds(m)
+        return _marginals(amps, dims, keep)
+
+
+def _gemm_marginals(amps, dims, keep):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tensorcore, "PAIR_MIN_ENTRIES", 2**62)
+        return _marginals(amps, dims, keep)
 
 
 @st.composite
@@ -70,8 +91,8 @@ class TestAgreesWithGemm:
     @given(sparse_stacks())
     def test_marginals(self, case):
         amps, dims, keep = case
-        pairs = _marginals(amps, dims, keep, support(amps))
-        gemm = _marginals(amps, dims, keep)
+        pairs = _pair_marginals(amps, dims, keep)
+        gemm = _gemm_marginals(amps, dims, keep)
         assert np.abs(pairs - gemm).max() <= 1e-15
         if amps.shape[1] * len(pairs[0]) <= 4096:  # the oracle loops over D * dk entries
             for rho, row in zip(pairs, amps):
@@ -86,10 +107,10 @@ class TestAgreesWithGemm:
     @pytest.mark.parametrize("d,n", [(2, 8), (2, 9), (3, 5), (7, 3)])
     def test_ghz_bases(self, d, n):
         family = ghz_basis(d, n)
-        assert _sparse_support(family.amps) is not None
-        assert abs(gram_deviation(family.amps) - _gemm_gram_deviation(family.amps)) <= 1e-15
-        for p, rho in enumerate(party_marginals(family.amps, (d,) * n)):
-            assert np.abs(rho - _marginals(family.amps, (d,) * n, [p])).max() <= 1e-15
+        assert _sparse_support(Block.of(family.amps)) is not None
+        assert abs(gram_deviation(Block.of(family.amps)) - _gemm_gram_deviation(family.amps)) <= 1e-15
+        for p, rho in enumerate(party_marginals(Block.of(family.amps), (d,) * n)):
+            assert np.abs(rho - _gemm_marginals(family.amps, (d,) * n, [p])).max() <= 1e-15
 
 
 class TestPathChoice:
@@ -110,19 +131,19 @@ class TestPathChoice:
             raise AssertionError("pair kernel on a dense block")
 
         monkeypatch.setattr(tensorcore, "_pair_sums", no_pairs)
-        assert gram_deviation(amps) == _gemm_gram_deviation(amps)
-        reduced_densities(amps, (2,) * 13, [0, 5])
+        assert gram_deviation(Block.of(amps)) == _gemm_gram_deviation(amps)
+        _marginals(amps, (2,) * 13, [0, 5])
 
     def test_sparse_large_block_takes_the_pairs(self):
         amps = build_scheme(4, 2, 16).amps
-        assert _sparse_support(amps) is not None
+        assert _sparse_support(Block.of(amps)) is not None
 
     def test_pairs_over_the_budget_fall_back_to_the_gemm(self, monkeypatch):
         family = ghz_basis(2, 9)
         monkeypatch.setattr(tensorcore, "SIZE_BUDGET_BYTES", 1)
-        assert gram_deviation(family.amps) == _gemm_gram_deviation(family.amps)
-        for p, rho in enumerate(party_marginals(family.amps, (2,) * 9)):
-            assert rho.tobytes() == _marginals(family.amps, (2,) * 9, [p]).tobytes()
+        assert gram_deviation(Block.of(family.amps)) == _gemm_gram_deviation(family.amps)
+        for p, rho in enumerate(party_marginals(Block.of(family.amps), (2,) * 9)):
+            assert rho.tobytes() == _gemm_marginals(family.amps, (2,) * 9, [p]).tobytes()
 
 
 class TestBits:
@@ -132,14 +153,14 @@ class TestBits:
         inputs = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(5)]
         stack = np.array([mask(scheme, StateVector((4,), a / np.linalg.norm(a))).amps for a in inputs])
         dims = (2,) * 16
-        assert _sparse_support(stack) is not None and _sparse_support(stack[:1]) is not None
+        assert _sparse_support(Block.of(stack)) is not None and _sparse_support(Block.of(stack[:1])) is not None
         for keep in ([0], [3], [15], [2, 9]):
-            stacked = reduced_densities(stack, dims, keep)
+            stacked = _marginals(stack, dims, keep)
             for row, rho in zip(stack, stacked):
-                assert rho.tobytes() == reduced_densities(row[None], dims, keep)[0].tobytes()
+                assert rho.tobytes() == _marginals(row[None], dims, keep)[0].tobytes()
                 assert rho.tobytes() == partial_trace(StateVector(dims, row), keep).mat.tobytes()
-        for p, rhos in enumerate(party_marginals(stack, dims)):
-            assert rhos.tobytes() == reduced_densities(stack, dims, [p]).tobytes()
+        for p, rhos in enumerate(party_marginals(Block.of(stack), dims)):
+            assert rhos.tobytes() == _marginals(stack, dims, [p]).tobytes()
 
 
 @st.composite
@@ -176,11 +197,10 @@ class TestOneCallForAllParties:
     def test_bits_match_one_party_at_a_time(self, case):
         amps, dims = case
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(tensorcore, "PAIR_MIN_ENTRIES", 0)
-            m.setattr(tensorcore, "PAIR_MAX_FILL", 1)
-            alone = [reduced_densities(amps, dims, [p]) for p in range(len(dims))]
+            _lift_thresholds(m)
+            alone = [_marginals(amps, dims, [p]) for p in range(len(dims))]
             calls = _pair_calls(m)
-            together = party_marginals(amps, dims)
+            together = party_marginals(Block.of(amps), dims)
         assert len(calls) == 1
         assert [rho.tobytes() for rho in together] == [rho.tobytes() for rho in alone]
 
@@ -189,30 +209,29 @@ class TestOneCallForAllParties:
     def test_bits_match_when_the_budget_splits_the_parties(self, case, per_call):
         amps, dims = case
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(tensorcore, "PAIR_MIN_ENTRIES", 0)
-            m.setattr(tensorcore, "PAIR_MAX_FILL", 1)
-            alone = [reduced_densities(amps, dims, [p]) for p in range(len(dims))]
+            _lift_thresholds(m)
+            alone = [_marginals(amps, dims, [p]) for p in range(len(dims))]
             # The budget of per_call keep-sets at the worst case of (dk + 1)
             # pairs an entry.
             budget = per_call * PAIR_BYTES * (max(dims) + 1) * np.count_nonzero(amps)
             m.setattr(tensorcore, "SIZE_BUDGET_BYTES", budget)
             calls = _pair_calls(m)
-            together = party_marginals(amps, dims)
+            together = party_marginals(Block.of(amps), dims)
         assert len(calls) == -(-len(dims) // per_call)
         assert [rho.tobytes() for rho in together] == [rho.tobytes() for rho in alone]
 
     def test_ghz_basis_takes_one_call(self, monkeypatch):
         family = ghz_basis(2, 9)
         calls = _pair_calls(monkeypatch)
-        party_marginals(family.amps, (2,) * 9)
+        party_marginals(Block.of(family.amps), (2,) * 9)
         assert len(calls) == 1
 
     def test_a_call_reads_at_most_pair_call_entries(self, monkeypatch):
         family = ghz_basis(2, 10)  # 2048 support entries a party
         dims = (2,) * 10
-        alone = [reduced_densities(family.amps, dims, [p]) for p in range(10)]
+        alone = [_marginals(family.amps, dims, [p]) for p in range(10)]
         calls = _pair_calls(monkeypatch)
-        together = party_marginals(family.amps, dims)
+        together = party_marginals(Block.of(family.amps), dims)
         assert len(calls) == -(-10 // (PAIR_CALL_ENTRIES // 2048)) > 1
         assert [rho.tobytes() for rho in together] == [rho.tobytes() for rho in alone]
 
@@ -254,17 +273,18 @@ class TestNonFinite:
     def test_all_zero_row_has_gram_deviation_one(self):
         amps = ghz_basis(2, 9).amps.copy()
         amps[100] = 0
-        assert _sparse_support(amps) is not None
-        assert gram_deviation(amps) == 1.0
+        assert _sparse_support(Block.of(amps)) is not None
+        assert gram_deviation(Block.of(amps)) == 1.0
         assert certify_meb(MebFamily(2, 9, amps, range(512))).max_gram_deviation == 1.0
 
 
 class TestMemory:
     def test_sparse_gram_holds_no_conjugated_copy(self):
         amps = build_scheme(4, 2, 18).amps
+        block = Block.of(amps)
         tracemalloc.start()
         try:
-            gram_deviation(amps)
+            gram_deviation(block)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -59,8 +59,8 @@ PUBLIC = [
 # Public functions and classes that tensorcore defines; the rest of the
 # package and the benchmark import these from it.
 TENSORCORE = [
+    "Block",
     "DensityMatrix",
-    "FreshBlock",
     "ShapeError",
     "StateVector",
     "basis_state",
@@ -70,8 +70,6 @@ TENSORCORE = [
     "max_distance_to_maximally_mixed",
     "partial_trace",
     "party_marginals",
-    "reduced_densities",
-    "stack_states",
     "support",
 ]
 

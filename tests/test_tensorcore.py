@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from quditmask import (
     DensityMatrix,
+    MaskingScheme,
+    MebFamily,
     ShapeError,
     StateVector,
     basis_state,
@@ -18,10 +20,11 @@ from quditmask import (
 )
 from quditmask.tensorcore import (
     PSD_TOL,
+    Block,
     _check_densities,
+    _marginal_stacks,
     max_distance_to_maximally_mixed,
-    reduced_densities,
-    stack_states,
+    party_marginals,
 )
 from oracles import partial_trace_oracle, state_from_kets, two_qudit_meb_state_oracle
 
@@ -36,6 +39,14 @@ def random_state(dims, rng):
 def joint(a, b):
     """a (x) b on a.dims + b.dims; parties of `a` come first."""
     return StateVector(a.dims + b.dims, np.kron(a.amps, b.amps))
+
+
+def reduced_densities(amps, dims, keep):
+    """The (N, dk, dk) marginals on `keep` of the rows of an (N, prod(dims))
+    array, the stack checked against the DensityMatrix tolerances."""
+    (rho,) = _marginal_stacks(Block.of(amps), dims, [keep])
+    _check_densities(rho)
+    return rho
 
 
 def projector(state):
@@ -267,37 +278,43 @@ class TestDistanceToMaximallyMixed:
 
 
 class TestStackStates:
+    """A caller's states, as an array or a sequence, are copied into one
+    read-only block, and the row views share it."""
+
     def test_block_gives_read_only_block_and_row_views(self):
         block = np.eye(4, dtype=complex)[:3]
-        amps, states = stack_states(block, (2, 2), 3, "image")
+        family = MebFamily(2, 2, block, range(3))
+        amps, states = family.amps, family.states
         assert amps.shape == (3, 4) and not amps.flags.writeable
+        assert not np.shares_memory(amps, block) and family._block.amps is amps
         for k, s in enumerate(states):
             assert s.dims == (2, 2) and np.shares_memory(s.amps, amps)
             assert s.amps.tobytes() == block[k].tobytes()
 
     def test_sequence_is_stacked_once(self):
         seq = [basis_state((2, 2), (k // 2, k % 2)) for k in range(4)]
-        amps, states = stack_states(iter(seq), (2, 2), None, "state")
+        family = MebFamily(2, 2, iter(seq), range(4))
+        amps, states = family.amps, family.states
         assert amps.tobytes() == np.eye(4, dtype=complex).tobytes()
         assert not any(np.shares_memory(amps, s.amps) for s in seq)
         assert all(np.shares_memory(s.amps, amps) for s in states)
 
     @pytest.mark.parametrize("empty", [(), np.zeros((0, 8), dtype=complex)])
     def test_no_states(self, empty):
-        amps, states = stack_states(empty, (2, 2, 2), None, "state")
-        assert amps.shape == (0, 8) and states == ()
+        family = MebFamily(2, 3, empty, ())
+        assert family.amps.shape == (0, 8) and family.states == ()
 
     def test_errors_name_the_noun(self):
         bell = (BELL, BELL)
-        with pytest.raises(ValueError, match="expected 3 states, got 2"):
-            stack_states(bell, (2, 2), 3, "state")
+        with pytest.raises(ValueError, match="expected 3 images, got 2"):
+            MaskingScheme(3, 2, 2, bell)
         with pytest.raises(ValueError, match="state dims"):
-            stack_states(bell + (basis_state((4,), (0,)),), (2, 2), None, "state")
+            MebFamily(2, 2, bell + (basis_state((4,), (0,)),), range(3))
         for block in [np.zeros((2, 5)), np.zeros(4), np.zeros((2, 2, 2))]:
             with pytest.raises(ValueError, match="state block shape"):
-                stack_states(block, (2, 2), None, "state")
+                MebFamily(2, 2, block, range(2))
         with pytest.raises(ValueError, match=r"image block shape \(2, 4\) != \(3, 4\)"):
-            stack_states(np.zeros((2, 4)), (2, 2), 3, "image")
+            MaskingScheme(3, 2, 2, np.zeros((2, 4)))
 
 
 EQUALITY_CASES = {
@@ -334,10 +351,10 @@ class TestValidatedOnce:
         rho = partial_trace(BELL, [1])
         assert calls == [1] and not rho.mat.flags.writeable
 
-    def test_reduced_densities_validates_its_stack_once(self, monkeypatch):
+    def test_party_marginals_validates_each_stack_once(self, monkeypatch):
         calls = self._count_checks(monkeypatch)
-        reduced_densities(np.eye(8, dtype=complex), (2, 2, 2), [0])
-        assert calls == [8]
+        party_marginals(Block.of(np.eye(8, dtype=complex)), (2, 2, 2))
+        assert calls == [8, 8, 8]
 
     def test_density_matrix_has_no_check_knob(self):
         with pytest.raises(TypeError):
@@ -484,9 +501,9 @@ class TestReductionsWithoutSpecialCases:
     def test_gram_deviation_of_an_empty_family_is_zero(self):
         from quditmask.tensorcore import gram_deviation
 
-        assert gram_deviation(np.zeros((0, 8), dtype=complex)) == 0.0
-        assert gram_deviation(np.eye(3, dtype=complex)) == 0.0
-        assert np.isnan(gram_deviation(np.array([[np.nan, 0], [0, 1]], dtype=complex)))
+        assert gram_deviation(Block.of(np.zeros((0, 8), dtype=complex))) == 0.0
+        assert gram_deviation(Block.of(np.eye(3, dtype=complex))) == 0.0
+        assert np.isnan(gram_deviation(Block.of(np.array([[np.nan, 0], [0, 1]], dtype=complex))))
 
     def test_signed_zero_and_exact_identity(self):
         for d in (2, 3, 7):
