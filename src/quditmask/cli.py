@@ -113,13 +113,12 @@ def _cmd_build(args) -> tuple[str, int]:
 
 
 def _cmd_mask(args) -> tuple[str, int]:
-    # A built scheme holds its images' support, not their block, so keeping it
-    # costs no block; it is built first, so a bound violation (exit 3) is
-    # still reported before a malformed input (exit 64). The masked state's
-    # support comes from the scheme's, and the state is not scanned for it.
+    # A built scheme holds its images' support, not their block, so keeping it costs no block;
+    # it is built first, so a bound violation (exit 3) is still reported before a malformed
+    # input (exit 64). mask finds the state's support among the scheme's columns, with no scan.
     scheme = masker.build_scheme(args.w, args.d, args.m)
     masked = masker.mask(scheme, _read_amplitudes(args, args.w))
-    marginals = [rho[0] for rho in party_marginals(masker.masked_block(scheme, masked), masked.dims)]
+    marginals = [rho[0] for rho in party_marginals(masked._block, masked.dims)]
     if args.format == "json":
         doc = {
             "w": args.w,

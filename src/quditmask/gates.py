@@ -131,6 +131,7 @@ def apply_gate(gate: Gate, state: StateVector) -> StateVector:
         shape = arr.shape[: len(axes)]
         dest = np.unravel_index(gate._permutation().reshape(shape), shape)
         out.transpose(order)[dest] = arr
+    out.flags.writeable = False  # ours, so StateVector holds it without a copy
     return StateVector(state.dims, out)
 
 
@@ -150,7 +151,9 @@ def append_ancilla(state: StateVector, d: int, count: int) -> StateVector:
     check_size_budget(state.dim, d, count)
     anc = np.zeros(d ** count, dtype=complex)
     anc[0] = 1.0
-    return StateVector(state.dims + (d,) * count, np.kron(state.amps, anc))
+    out = np.kron(state.amps, anc)
+    out.flags.writeable = False
+    return StateVector(state.dims + (d,) * count, out)
 
 
 def circuit_to_text(circuit: Circuit) -> str:

@@ -5,6 +5,7 @@ parties."""
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,7 @@ def build_scheme(w: int, d: int, m: int) -> MaskingScheme:
     the two halves (the 2-qudit family ordering for m = 4, which
     reproduces the Bell-pair scheme at d = 2).
     """
+    w, d, m = map(operator.index, (w, d, m))
     if w < 2 or d < 2:
         raise ValueError("need w >= 2 and d >= 2")
     if m < 4:
@@ -128,17 +130,11 @@ def mask(scheme: MaskingScheme, state: StateVector) -> StateVector:
     # would; the skipped terms a*0 are +-0 and never change a sum from +0.
     rows, cols, vals = scheme._block.support
     np.add.at(out, cols, state.amps[rows] * vals)
-    return StateVector((scheme.d,) * scheme.m, out)
-
-
-def masked_block(scheme: MaskingScheme, masked: StateVector) -> Block:
-    """The one-row block of masked = mask(scheme, a), with its support placed
-    and not scanned: mask writes only the columns of the images' support, so
-    the nonzeros lie in their sorted union. Exact cancellations are left out
-    of the support; NaN stays."""
-    cols = np.unique(scheme._block.support[1])
-    cols = cols[masked.amps[cols] != 0]
-    return Block.of(masked.amps[None], (np.zeros_like(cols), cols, masked.amps[cols]))
+    out.flags.writeable = False
+    masked = StateVector((scheme.d,) * scheme.m, out)
+    # Its nonzeros lie in the images' support columns, so no scan finds them.
+    object.__setattr__(masked, "_block", Block.of(out[None], within=cols))
+    return masked
 
 
 def digit_encode(state: StateVector, d: int) -> StateVector:

@@ -57,7 +57,8 @@ class StateVector:
 
     dims: per-party local dimensions, each an integer >= 2 (a float raises TypeError).
     amps: complex amplitudes of length prod(dims), big-endian party order.
-    Equality is identity; compare `amps` to compare states.
+    A writeable array is copied, so writing it cannot rewrite the state; a
+    read-only one is held. Equality is identity; compare `amps` to compare states.
     """
 
     dims: tuple[int, ...]
@@ -65,7 +66,8 @@ class StateVector:
 
     def __post_init__(self):
         dims = _register_dims(self.dims)
-        amps = np.asarray(self.amps, dtype=complex).reshape(-1)
+        copy = isinstance(self.amps, np.ndarray) and self.amps.flags.writeable
+        amps = (np.array if copy else np.asarray)(self.amps, dtype=complex, order="C").reshape(-1)
         if _capped_prod(dims, amps.size) != amps.size:
             raise ShapeError(f"amplitude length {amps.size} != prod(dims) = {_size_name(dims)}")
         amps.flags.writeable = False
@@ -82,6 +84,11 @@ class StateVector:
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per party (read-only view)."""
         return self.amps.reshape(self.dims)
+
+    @functools.cached_property
+    def _block(self) -> Block:
+        """The state as a one-row Block, which every marginal of it reads."""
+        return Block.of(self.amps[None])
 
 
 def _register_dims(dims) -> tuple[int, ...]:
@@ -104,6 +111,7 @@ def basis_state(dims: list[int] | tuple[int, ...], digits: list[int] | tuple[int
         idx = idx * d + k
     amps = np.zeros(math.prod(dims), dtype=complex)
     amps[idx] = 1.0
+    amps.flags.writeable = False
     return StateVector(dims, amps)
 
 
@@ -113,8 +121,10 @@ class Block:
     support its builder placed and `make`, which allocates the block and
     keeps no reference to it; its read-only `amps` is made on first read and
     kept, so readers of the shape and support alone never make it. A block
-    of an existing array has no maker, and its support is scanned on first
-    read unless it was placed."""
+    of an existing array has no maker, and its support is taken on first
+    read: among the flat indices `within`, if given, else by a scan."""
+
+    within: np.ndarray | None = None
 
     def __init__(self, shape: tuple[int, int], make: Callable[[], np.ndarray] | None = None):
         self.shape = shape
@@ -134,13 +144,12 @@ class Block:
         return block
 
     @classmethod
-    def of(cls, amps: np.ndarray, placed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> Block:
-        """The block of an existing (N, dim) array, held as it is; `placed`,
-        if given, is its support, and the array is not scanned for it."""
+    def of(cls, amps: np.ndarray, within: np.ndarray | None = None) -> Block:
+        """The block of an existing (N, dim) array, held as it is. `within`,
+        if given, holds the flat index of every nonzero entry, in any order
+        and with repeats, and the support is found among them, not by a scan."""
         block = cls(amps.shape)
-        block.amps = amps
-        if placed is not None:
-            block.support = placed
+        block.amps, block.within = amps, within
         return block
 
     @functools.cached_property
@@ -151,7 +160,11 @@ class Block:
 
     @functools.cached_property
     def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return support(self.amps)
+        if self.within is None:
+            return support(self.amps)
+        flat = np.unique(self.within)
+        rows, cols = np.divmod(flat[self.amps.reshape(-1)[flat] != 0], self.shape[1])
+        return rows, cols, self.amps[rows, cols]
 
 
 def _scatter(shape, rows, cols, vals) -> np.ndarray:
@@ -319,11 +332,11 @@ def _sparse_support(block: Block):
     the block has at least PAIR_MIN_ENTRIES entries, decided before any scan,
     and at most one in PAIR_MAX_FILL of them is nonzero. None otherwise (the
     GEMM). A block whose support is not yet taken has its nonzeros counted
-    first, so a dense block never builds one; a sparse one keeps it."""
+    first, unless its indices `within` pass alone, so a dense one never builds it."""
     size = block.shape[0] * block.shape[1]
     if size < PAIR_MIN_ENTRIES:
         return None
-    if "support" not in vars(block):
+    if "support" not in vars(block) and (block.within is None or PAIR_MAX_FILL * len(block.within) > size):
         nonzero = block.amps != 0
         if PAIR_MAX_FILL * np.count_nonzero(nonzero) > size:
             return None
@@ -409,7 +422,7 @@ def _marginal_stacks(block: Block, dims: tuple[int, ...], keeps) -> list[np.ndar
     keep-sets to a _pair_sums call as the size budget and PAIR_CALL_ENTRIES
     admit; the rest take one GEMM per keep-set, on the block made if need be."""
     dims = tuple(dims)
-    keeps = [sorted(set(map(int, keep))) for keep in keeps]
+    keeps = [sorted(set(map(operator.index, keep))) for keep in keeps]
     for keep in keeps:
         if not keep:
             raise ValueError("keep-set must be non-empty")
@@ -456,7 +469,7 @@ def partial_trace(state: StateVector, keep: list[int] | tuple[int, ...] | set[in
     The kept parties retain their relative order; DensityMatrix validates
     the result.
     """
-    (rho,) = _marginal_stacks(Block.of(state.amps[None]), state.dims, [keep])[0]
+    (rho,) = _marginal_stacks(state._block, state.dims, [keep])[0]
     return DensityMatrix(len(rho), rho)
 
 

@@ -14,7 +14,6 @@ from .tensorcore import (
     GRAM_TOL,
     MARGINAL_TOL,
     VARIATION_TOL,
-    Block,
     StateVector,
     basis_state,
     check_size_budget,
@@ -143,7 +142,7 @@ def leakage_profile(state: StateVector) -> LeakageProfile:
     """Per-party marginals split into off-diagonal (coherence) and diagonal
     (population) leakage relative to the maximally mixed state."""
     parties = []
-    for party, (rho,) in enumerate(party_marginals(Block.of(state.amps[None]), state.dims)):
+    for party, (rho,) in enumerate(party_marginals(state._block, state.dims)):
         d = rho.shape[0]
         off = rho - np.diag(np.diag(rho))
         parties.append(

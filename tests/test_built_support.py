@@ -18,17 +18,20 @@ from quditmask import (
     certify_meb,
     ghz_basis,
     haar_random_state,
+    leakage_profile,
     mask,
+    partial_trace,
     two_qudit_meb,
     verify_scheme,
 )
 from quditmask import cli, masker, meb, tensorcore
-from quditmask.masker import masked_block
 from quditmask.meb import ghz_amplitudes, two_qudit_labels
 from quditmask.tensorcore import (
     GRAM_TOL,
+    PAIR_MAX_FILL,
     SIZE_BUDGET_BYTES,
     Block,
+    _marginal_stacks,
     _pair_sums,
     gram_deviation,
     max_distance_to_maximally_mixed,
@@ -146,6 +149,36 @@ class TestNoRescan:
         assert scans == [(4, 2**18)]
 
 
+class TestOnePathToTheMarginals:
+    """Every marginal of a state reads the state's one Block, so a state is
+    scanned at most once, and a masked state, whose support mask finds among
+    the images' columns, not at all."""
+
+    def test_verify_scheme_of_a_built_scheme_scans_nothing(self, scans):
+        assert verify_scheme(build_scheme(4, 2, 18), 2).passed
+        assert scans == []
+
+    def test_a_callers_sparse_state_is_scanned_once(self, scans):
+        masked = mask(build_scheme(4, 2, 18), haar_random_state(4, np.random.default_rng(3)))
+        state = StateVector(masked.dims, np.array(masked.amps))
+        assert np.count_nonzero(state.amps) == 16
+        rhos = [partial_trace(state, [p]).mat for p in range(18)]
+        profile = leakage_profile(state)
+        assert scans == [(1, 2**18)]
+        for p, rho in enumerate(rhos):
+            (want,) = _marginal_stacks(Block.of(masked.amps[None]), masked.dims, [[p]])[0]
+            assert rho.tobytes() == want.tobytes()
+            assert profile.parties[p].marginal.tobytes() == want.tobytes()
+
+    def test_a_masked_state_has_the_bits_of_the_scan(self):
+        masked = mask(build_scheme(4, 2, 18), haar_random_state(4, np.random.default_rng(4)))
+        profile = leakage_profile(masked)
+        for p in range(18):
+            (want,) = _marginal_stacks(Block.of(masked.amps[None]), masked.dims, [[p]])[0]
+            assert partial_trace(masked, [p]).mat.tobytes() == want.tobytes()
+            assert profile.parties[p].marginal.tobytes() == want.tobytes()
+
+
 def caller_family(family):
     """The same states as a caller's ndarray, which is copied and scanned."""
     return MebFamily(family.d, family.n_parties, family.amps, family.labels)
@@ -209,16 +242,21 @@ class TestKernelsTakeTheBlockAlone:
         assert not made(scheme) and not made(family)
 
 
+def haar_scheme():
+    """A caller's (4, 2, 18) scheme with Haar-orthonormal, dense images."""
+    rng = np.random.default_rng(2)
+    z = rng.standard_normal((2**18, 4)) + 1j * rng.standard_normal((2**18, 4))
+    return MaskingScheme(4, 2, 18, np.linalg.qr(z)[0].T)
+
+
 class TestDenseCallerScheme:
     """A dense caller's scheme takes the GEMM for its Gram, and its nonzeros
     are counted before any support is taken, so the Gram builds none; mask
-    still takes the support and keeps it."""
+    still takes the support and keeps it. Its masked states are dense too,
+    and their marginals build no support either."""
 
     def test_gram_builds_no_support(self):
-        rng = np.random.default_rng(2)
-        z = rng.standard_normal((2**18, 4)) + 1j * rng.standard_normal((2**18, 4))
-        scheme = MaskingScheme(4, 2, 18, np.linalg.qr(z)[0].T)
-        del z
+        scheme = haar_scheme()
         image_bytes = scheme._block.amps.nbytes  # B, 16 MB
         tracemalloc.start()
         try:
@@ -234,6 +272,15 @@ class TestDenseCallerScheme:
         assert len(sup[2]) == 4 * 2**18
         mask(scheme, basis_state((4,), (1,)))
         assert scheme._block.support is sup
+
+    def test_masked_state_builds_no_support(self):
+        masked = mask(haar_scheme(), basis_state((4,), (0,)))
+        block = masked._block
+        assert PAIR_MAX_FILL * len(block.within) > masked.dim
+        for p in range(18):
+            partial_trace(masked, [p])
+        leakage_profile(masked)
+        assert masked._block is block and "support" not in vars(block)
 
 
 class TestDenseMarginalBins:
@@ -342,13 +389,14 @@ class TestCliMask:
 
 
 class TestMaskedSupport:
-    """masked_block places the masked state's support, and it is the scan."""
+    """mask gives the masked state's Block, whose support is found among the
+    images' columns, and it is the scan."""
 
     @pytest.mark.parametrize("w,d,m", [(4, 2, 4), (9, 3, 4), (8, 2, 6), (27, 3, 7), (4, 2, 16)])
     def test_is_the_scan_of_the_masked_state(self, w, d, m):
         scheme = build_scheme(w, d, m)
         masked = mask(scheme, haar_random_state(w, np.random.default_rng(m)))
-        block = masked_block(scheme, masked)
+        block = masked._block
         assert block.shape == (1, d**m) and np.shares_memory(block.amps, masked.amps)
         assert_is_support(block.support, masked.amps[None])
 
@@ -357,11 +405,11 @@ class TestMaskedSupport:
         # Images 0 and 1 cancel on half their support: exact zeros, dropped.
         masked = mask(scheme, StateVector((4,), np.array([1, -1, 0, 0]) / np.sqrt(2)))
         assert np.count_nonzero(masked.amps[np.unique(scheme._block.support[1])] == 0) > 0
-        assert_is_support(masked_block(scheme, masked).support, masked.amps[None])
+        assert_is_support(masked._block.support, masked.amps[None])
         nan_in = StateVector((4,), np.array([np.nan, 0.5, 0.5, 0.5]))
         nan_out = mask(scheme, nan_in)
-        assert np.isnan(masked_block(scheme, nan_out).support[2]).any()
-        assert_is_support(masked_block(scheme, nan_out).support, nan_out.amps[None])
+        assert np.isnan(nan_out._block.support[2]).any()
+        assert_is_support(nan_out._block.support, nan_out.amps[None])
 
 
 def factor_blocks(w, d, m):

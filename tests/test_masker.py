@@ -569,3 +569,13 @@ class TestBuildSchemeSignature:
     ])
     def test_provenance_follows_from_parameters(self, w, d, m, want):
         assert build_scheme(w, d, m).provenance == want
+
+    @pytest.mark.parametrize("w,d,m", [(4.0, 2, 4), (np.float64(4), 2, 4), (4, 2.0, 4), (4, 2, 4.0)])
+    def test_non_integer_arguments_raise_type_error(self, w, d, m):
+        with pytest.raises(TypeError):
+            build_scheme(w, d, m)
+
+    def test_numpy_integers_are_accepted(self):
+        scheme = build_scheme(np.int64(4), np.int64(2), np.int64(6))
+        assert (scheme.w, scheme.d, scheme.m) == (4, 2, 6) and type(scheme.w) is int
+        assert scheme.amps.tobytes() == build_scheme(4, 2, 6).amps.tobytes()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,18 @@ from quditmask import (
     MebFamily,
     ShapeError,
     StateVector,
+    append_ancilla,
+    apply_gate,
     basis_state,
     build_scheme,
     certify_meb,
+    fourier_gate,
     ghz_basis,
     haar_random_state,
     leakage_profile,
+    mask,
     partial_trace,
+    shift_gate,
     two_qudit_meb,
 )
 from quditmask.tensorcore import (
@@ -182,6 +189,16 @@ class TestPartialTrace:
     def test_out_of_range_keep_rejected(self):
         with pytest.raises(ValueError):
             partial_trace(BELL, [5])
+
+    @pytest.mark.parametrize("keep", [[0.7], [np.float64(1.0)], [0, 1.0]])
+    def test_non_integer_keep_rejected(self, keep):
+        with pytest.raises(TypeError):
+            partial_trace(BELL, keep)
+
+    @pytest.mark.parametrize("keep,party", [([np.int64(1)], 1), ([True], 1), ([False], 0)])
+    def test_integer_like_keep_accepted(self, keep, party):
+        psi = random_state((2, 3), np.random.default_rng(7))
+        assert partial_trace(psi, keep).mat.tobytes() == partial_trace(psi, [party]).mat.tobytes()
 
     @pytest.mark.parametrize(
         "dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 4), (4, 4, 4), (2, 2, 2, 2, 2), (4, 4, 4, 4)]
@@ -490,11 +507,64 @@ class TestArrayOwnership:
         base[0, 1] = base[1, 0] = 7.0
         assert rho.mat.tobytes() == (np.eye(2, dtype=complex) / 2).tobytes()
 
-    def test_state_vector_keeps_a_read_only_view(self):
-        amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    def test_state_vector_copies_a_writeable_array(self):
+        # 2^16 amplitudes, 16 nonzero: the marginals take the pairs of the
+        # state's support, which is taken before the caller's array is written.
+        amps = np.zeros(2**16, dtype=complex)
+        amps[np.random.default_rng(0).choice(2**16, 16, replace=False)] = 0.25
+        psi = StateVector((2,) * 16, amps)
+        before = psi.amps.tobytes()
+        marginals = [partial_trace(psi, [p]).mat.tobytes() for p in range(16)]
+        assert "support" in vars(psi._block)
+        amps[:] = 1.0
+        assert psi.amps.tobytes() == before and not psi.amps.flags.writeable
+        assert [partial_trace(psi, [p]).mat.tobytes() for p in range(16)] == marginals
+        assert [p.marginal.tobytes() for p in leakage_profile(psi).parties] == marginals
+
+    def test_state_vector_holds_a_read_only_array(self):
+        amps = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+        amps.flags.writeable = False
         psi = StateVector((2, 2), amps)
-        assert np.shares_memory(psi.amps, amps)
-        assert not psi.amps.flags.writeable
+        assert psi.amps.base is amps and not psi.amps.flags.writeable
+
+
+def traced_peak(f):
+    """f() and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        out = f()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestProducersAreNotCopied:
+    """The package's producers hand StateVector read-only arrays they made,
+    so no output is copied: each peaks at its output (or, for a Fourier gate
+    off party 0, at the one register-order copy of np.tensordot's result)."""
+
+    def test_mask(self):
+        scheme = build_scheme(4, 2, 20)
+        state = haar_random_state(4, np.random.default_rng(1))
+        masked, peak = traced_peak(lambda: mask(scheme, state))
+        assert peak <= 1.1 * masked.amps.nbytes
+
+    def test_append_ancilla(self):
+        psi = random_state((16,) * 3, np.random.default_rng(2))
+        out, peak = traced_peak(lambda: append_ancilla(psi, 16, 1))
+        assert peak <= 1.35 * out.amps.nbytes  # np.kron's own working: 1.25
+
+    @pytest.mark.parametrize(
+        "gate,blocks",
+        [(fourier_gate(16, 0), 1.1), (fourier_gate(16, 3), 2.1), (shift_gate(16, 3, 0), 1.1),
+         (shift_gate(16, 3, 3), 1.1)],
+        ids=["fourier0", "fourier3", "shift0", "shift3"],
+    )
+    def test_apply_gate(self, gate, blocks):
+        psi = random_state((16,) * 4, np.random.default_rng(3))
+        _, peak = traced_peak(lambda: apply_gate(gate, psi))
+        assert peak <= blocks * psi.amps.nbytes
 
 
 class TestReductionsWithoutSpecialCases:
