@@ -32,6 +32,6 @@ print(f"max amplitude difference: {np.max(np.abs(direct.amps - via_circuit.amps)
 print(f"fidelity: {abs(np.vdot(direct.amps, via_circuit.amps)):.15f}")
 
 for party in range(4):
-    rho = partial_trace(direct, [party]).mat
+    rho = partial_trace(direct, [party])
     dev = np.max(np.abs(rho - np.eye(d) / d))
     print(f"party {party}: deviation from I/{d} = {dev:.2e}")

@@ -40,7 +40,7 @@ class MaskingScheme(_StateBlock):
     provenance: str = "custom"
 
     def __post_init__(self):
-        self._hold((self.d,) * self.m, self.w, "image")
+        self._hold("w", "m", "image")
         # Images that mask every single party span a distance-2 code, so w
         # is bounded by the quantum Singleton bound, not by the capacity of
         # build_scheme's construction.
@@ -140,6 +140,8 @@ def mask(scheme: MaskingScheme, state: StateVector) -> StateVector:
 def digit_encode(state: StateVector, d: int) -> StateVector:
     """Write a w-level input (w <= d^2) into two d-level parties:
     |k> -> |k mod d>|floor(k/d)>."""
+    if len(state.dims) != 1:
+        raise ShapeError(f"input must be a single party, got dims {state.dims}")
     (w,) = state.dims
     if w > d * d:
         raise ShapeError(f"cannot encode {w} levels into two parties of dimension {d}")

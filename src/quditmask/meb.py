@@ -3,6 +3,7 @@ single-party reduction is maximally mixed."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ class MebFamily(_StateBlock):
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        self._hold((self.d,) * self.n_parties, None, "state")
-        labels = tuple(self.labels)
+        self._hold(None, "n_parties", "state")
+        labels = tuple(map(operator.index, self.labels))
         if len(labels) != self._block.shape[0]:
             raise ValueError(f"{len(labels)} labels for {self._block.shape[0]} states")
         object.__setattr__(self, "labels", labels)

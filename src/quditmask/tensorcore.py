@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # The package's one tolerance table.
-HERMITICITY_TOL = 1e-12  # max |rho - rho^dagger| accepted by DensityMatrix
-PSD_TOL = 1e-10  # most negative eigenvalue accepted by DensityMatrix
+HERMITICITY_TOL = 1e-12  # max |rho - rho^dagger| accepted in a marginal (_check_densities)
+PSD_TOL = 1e-10  # most negative eigenvalue accepted in a marginal (_check_densities)
 GRAM_TOL = 1e-11  # max |G - I| of a scheme's images or a basis
 MARGINAL_TOL = 1e-10  # max-entry distance of a masked marginal from I/d
 MEB_MARGINAL_TOL = 1e-11  # the same distance for a basis element in certify_meb
@@ -100,12 +100,12 @@ def _register_dims(dims) -> tuple[int, ...]:
 
 
 def basis_state(dims: list[int] | tuple[int, ...], digits: list[int] | tuple[int, ...]) -> StateVector:
-    """Computational basis ket |digits> on the given register."""
-    dims = tuple(dims)
+    """Computational basis ket |digits>; a float dim or digit raises TypeError."""
+    dims = _register_dims(dims)
     if len(digits) != len(dims):
         raise ShapeError("one digit per party required")
     idx = 0
-    for d, k in zip(dims, digits):
+    for d, k in zip(dims, map(operator.index, digits)):
         if not 0 <= k < d:
             raise ValueError(f"digit {k} out of range for dimension {d}")
         idx = idx * d + k
@@ -117,10 +117,11 @@ def basis_state(dims: list[int] | tuple[int, ...], digits: list[int] | tuple[int
 
 class Block:
     """A complex (N, dim) block of amplitudes: its `shape`, `amps`, and
-    `support`, equal to support(amps) entry for entry. A built block has the
-    support its builder placed and `make`, which allocates the block and
-    keeps no reference to it; its read-only `amps` is made on first read and
-    kept, so readers of the shape and support alone never make it. A block
+    `support`, equal to support(amps) entry for entry, and `sparse_support`,
+    the kernels' kept verdict on it. A built block has the support its
+    builder placed and `make`, which allocates the block and keeps no
+    reference to it; its read-only `amps` is made on first read and kept,
+    so readers of the shape and support alone never make it. A block
     of an existing array has no maker, and its support is taken on first
     read: among the flat indices `within`, if given, else by a scan."""
 
@@ -166,6 +167,24 @@ class Block:
         rows, cols = np.divmod(flat[self.amps.reshape(-1)[flat] != 0], self.shape[1])
         return rows, cols, self.amps[rows, cols]
 
+    @functools.cached_property
+    def sparse_support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The support if the pair kernel should read it, else None (the
+        GEMM): the block has at least PAIR_MIN_ENTRIES entries, decided
+        before any scan, and at most one in PAIR_MAX_FILL is nonzero. A block
+        whose support is not yet taken, and whose indices `within` do not
+        pass alone, has its nonzeros counted once, so a dense one never
+        builds a support."""
+        size = self.shape[0] * self.shape[1]
+        if size < PAIR_MIN_ENTRIES:
+            return None
+        if "support" not in vars(self) and (self.within is None or PAIR_MAX_FILL * len(self.within) > size):
+            nonzero = self.amps != 0
+            if PAIR_MAX_FILL * np.count_nonzero(nonzero) > size:
+                return None
+            self.support = support(self.amps, nonzero)
+        return self.support if PAIR_MAX_FILL * len(self.support[2]) <= size else None
+
 
 def _scatter(shape, rows, cols, vals) -> np.ndarray:
     block = np.zeros(shape, dtype=complex)
@@ -202,7 +221,12 @@ class _StateBlock:
 
     _ROWS: str
 
-    def _hold(self, dims: tuple[int, ...], count: int | None, noun: str) -> None:
+    def _hold(self, count: str | None, parties: str, noun: str) -> None:
+        """Hold the N = count states (any N if None) on (d,) * parties; the
+        fields d and those named are held as ints, and a float raises TypeError."""
+        ints = {name: operator.index(getattr(self, name)) for name in ("d", parties, count) if name}
+        self.__dict__.update(ints)
+        dims, count = (ints["d"],) * ints[parties], ints.get(count)
         states = getattr(self, self._ROWS)
         if not isinstance(states, Block):
             if isinstance(states, np.ndarray):
@@ -234,26 +258,6 @@ class _StateBlock:
         amps = self._block.amps
         self.__dict__.update({"amps": amps, self._ROWS: _row_views(amps, self._dims)})
         return self.__dict__[name]
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian, unit-trace (when from a normalized state), PSD-within-tolerance
-    matrix. Equality is identity; compare `mat` to compare matrices."""
-
-    dim: int
-    mat: np.ndarray
-
-    def __post_init__(self):
-        mat = np.array(self.mat, dtype=complex)
-        if mat.shape != (self.dim, self.dim):
-            raise ShapeError(f"matrix shape {mat.shape} != ({self.dim}, {self.dim})")
-        _check_densities(mat[None])
-        mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
-
-    def trace(self) -> float:
-        return float(np.trace(self.mat).real)
 
 
 def _check_densities(rho: np.ndarray) -> None:
@@ -325,24 +329,6 @@ PAIR_BYTES = 96  # working bytes per ordered pair in _pair_sums (tracemalloc: 74
 # best of 41): 0.75 ms a party with one party a call, 1.4 ms with all 14 in
 # one call, and as fast as one party a call at 2^14 entries a call.
 PAIR_CALL_ENTRIES = 2**14
-
-
-def _sparse_support(block: Block):
-    """The support of an (N, D) block if the pair kernel should read it:
-    the block has at least PAIR_MIN_ENTRIES entries, decided before any scan,
-    and at most one in PAIR_MAX_FILL of them is nonzero. None otherwise (the
-    GEMM). A block whose support is not yet taken has its nonzeros counted
-    first, unless its indices `within` pass alone, so a dense one never builds it."""
-    size = block.shape[0] * block.shape[1]
-    if size < PAIR_MIN_ENTRIES:
-        return None
-    if "support" not in vars(block) and (block.within is None or PAIR_MAX_FILL * len(block.within) > size):
-        nonzero = block.amps != 0
-        if PAIR_MAX_FILL * np.count_nonzero(nonzero) > size:
-            return None
-        block.support = support(block.amps, nonzero)
-    sup = block.support
-    return sup if PAIR_MAX_FILL * len(sup[2]) <= size else None
 
 
 def _pair_sums(keys, left, right, vals, size=None):
@@ -417,10 +403,12 @@ def _pair_marginals(block: Block, dims: tuple[int, ...], keeps):
 def _marginal_stacks(block: Block, dims: tuple[int, ...], keeps) -> list[np.ndarray]:
     """The (N, dk, dk) reduced density matrices of the rows of an (N, D)
     block on each keep-set of `keeps`, dk the product of the kept
-    dimensions, with the kept parties in their relative order; unchecked.
-    A sparse block (_sparse_support) takes the pairs of its support, as many
-    keep-sets to a _pair_sums call as the size budget and PAIR_CALL_ENTRIES
-    admit; the rest take one GEMM per keep-set, on the block made if need be."""
+    dimensions, with the kept parties in their relative order. Each stack
+    is checked once by _check_densities, the one check of every marginal
+    the package returns. A sparse block (Block.sparse_support) takes the
+    pairs of its support, as many keep-sets to a _pair_sums call as the
+    size budget and PAIR_CALL_ENTRIES admit; the rest take one GEMM per
+    keep-set, on the block made if need be."""
     dims = tuple(dims)
     keeps = [sorted(set(map(operator.index, keep))) for keep in keeps]
     for keep in keeps:
@@ -429,7 +417,7 @@ def _marginal_stacks(block: Block, dims: tuple[int, ...], keeps) -> list[np.ndar
         if keep[0] < 0 or keep[-1] >= len(dims):
             raise ValueError(f"keep-set {keep} out of range for {len(dims)} parties")
     out = [None] * len(keeps)
-    sup = _sparse_support(block)
+    sup = block.sparse_support
     if sup is not None:
         # A group's entries differ only in their kept digits, so an entry has
         # at most dk partners, and its keys cost about one more pair. One
@@ -449,28 +437,22 @@ def _marginal_stacks(block: Block, dims: tuple[int, ...], keeps) -> list[np.ndar
             psi = block.amps.reshape((n,) + dims).transpose([0] + [i + 1 for i in keep + drop])
             psi = psi.reshape(n, d_keep, math.prod(dims) // d_keep)
             out[k] = psi @ psi.conj().transpose(0, 2, 1)
-    return out
-
-
-def party_marginals(block: Block, dims: tuple[int, ...]) -> list[np.ndarray]:
-    """The (N, d_p, d_p) one-party marginals of the rows of an (N, D) block
-    for every party p, each stack checked once against the DensityMatrix
-    tolerances. A sparse block's are taken from its support, in as few
-    _pair_sums calls as the size budget and PAIR_CALL_ENTRIES admit."""
-    out = _marginal_stacks(block, dims, [[p] for p in range(len(dims))])
     for rho in out:
         _check_densities(rho)
     return out
 
 
-def partial_trace(state: StateVector, keep: list[int] | tuple[int, ...] | set[int]) -> DensityMatrix:
-    """Reduced density matrix on the `keep` parties, tracing out the rest.
+def party_marginals(block: Block, dims: tuple[int, ...]) -> list[np.ndarray]:
+    """The checked (N, d_p, d_p) one-party marginals of the rows of an
+    (N, D) block for every party p."""
+    return _marginal_stacks(block, dims, [[p] for p in range(len(dims))])
 
-    The kept parties retain their relative order; DensityMatrix validates
-    the result.
-    """
-    (rho,) = _marginal_stacks(state._block, state.dims, [keep])[0]
-    return DensityMatrix(len(rho), rho)
+
+def partial_trace(state: StateVector, keep: list[int] | tuple[int, ...] | set[int]) -> np.ndarray:
+    """The checked (dk, dk) reduced density matrix on the `keep` parties,
+    tracing out the rest; the kept parties retain their relative order.
+    The array is new on each call and shares memory with nothing."""
+    return _marginal_stacks(state._block, state.dims, [keep])[0][0]
 
 
 def max_distance_to_maximally_mixed(mats: np.ndarray) -> float:
@@ -482,13 +464,13 @@ def max_distance_to_maximally_mixed(mats: np.ndarray) -> float:
 
 def gram_deviation(block: Block) -> float:
     """Max-entry norm of G - I for the Gram matrix G of the rows of an
-    (N, dim) block; 0.0 if N = 0. A sparse block (_sparse_support) sums the
-    pairs of entries sharing a column into the entries of conj(G) they
-    reach, with no conjugated copy of the block and no N x N matrix; every
-    other entry of G is 0, at distance 1 from I on the diagonal and 0 off it.
-    Any other block is made if need be for one GEMM."""
+    (N, dim) block; 0.0 if N = 0. A sparse block (Block.sparse_support)
+    sums the pairs of entries sharing a column into the entries of conj(G)
+    they reach, with no conjugated copy of the block and no N x N matrix;
+    every other entry of G is 0, at distance 1 from I on the diagonal and
+    0 off it. Any other block is made if need be for one GEMM."""
     n = block.shape[0]
-    sup = _sparse_support(block)
+    sup = block.sparse_support
     if sup is not None:
         order = np.argsort(sup[1], kind="stable")
         rows, cols, vals = (a[order] for a in sup)

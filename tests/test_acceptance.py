@@ -71,7 +71,7 @@ def test_criterion_1_four_qubit_scheme_reproduction():
         for _ in range(100):
             masked = mask(scheme, haar_random_state(4, rng))
             for party in range(4):
-                rho = partial_trace(masked, [party]).mat
+                rho = partial_trace(masked, [party])
                 assert np.max(np.abs(rho - np.eye(2) / 2)) <= 1e-10
 
 
@@ -140,7 +140,7 @@ def test_criterion_3_six_qubit_scheme():
         for _ in range(50):
             masked = mask(scheme, haar_random_state(8, rng))
             for party in range(6):
-                rho = partial_trace(masked, [party]).mat
+                rho = partial_trace(masked, [party])
                 assert np.max(np.abs(rho - np.eye(2) / 2)) <= 1e-10
 
 
@@ -217,7 +217,7 @@ def test_criterion_8_oracle_equivalence():
             amps = rng.standard_normal(int(np.prod(dims))) + 1j * rng.standard_normal(int(np.prod(dims)))
             psi = StateVector(dims, amps / np.linalg.norm(amps))
             for keep in [[0], [len(dims) - 1], list(range(1, len(dims)))]:
-                got = partial_trace(psi, keep).mat
+                got = partial_trace(psi, keep)
                 want = partial_trace_oracle(psi.amps, psi.dims, sorted(keep))
                 assert np.max(np.abs(got - want)) <= 1e-13
         # gate index action vs dense matrices, d <= 5

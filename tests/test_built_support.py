@@ -162,7 +162,7 @@ class TestOnePathToTheMarginals:
         masked = mask(build_scheme(4, 2, 18), haar_random_state(4, np.random.default_rng(3)))
         state = StateVector(masked.dims, np.array(masked.amps))
         assert np.count_nonzero(state.amps) == 16
-        rhos = [partial_trace(state, [p]).mat for p in range(18)]
+        rhos = [partial_trace(state, [p]) for p in range(18)]
         profile = leakage_profile(state)
         assert scans == [(1, 2**18)]
         for p, rho in enumerate(rhos):
@@ -175,7 +175,7 @@ class TestOnePathToTheMarginals:
         profile = leakage_profile(masked)
         for p in range(18):
             (want,) = _marginal_stacks(Block.of(masked.amps[None]), masked.dims, [[p]])[0]
-            assert partial_trace(masked, [p]).mat.tobytes() == want.tobytes()
+            assert partial_trace(masked, [p]).tobytes() == want.tobytes()
             assert profile.parties[p].marginal.tobytes() == want.tobytes()
 
 
@@ -281,6 +281,20 @@ class TestDenseCallerScheme:
             partial_trace(masked, [p])
         leakage_profile(masked)
         assert masked._block is block and "support" not in vars(block)
+
+    def test_a_dense_block_is_counted_once(self, monkeypatch):
+        # A block keeps its verdict: each masked state is counted once for its
+        # 18 marginals, and the scheme's support, taken by mask, needs no
+        # count for the Gram.
+        counts, count_nonzero = [], np.count_nonzero
+        monkeypatch.setattr(np, "count_nonzero", lambda a: counts.append(a.size) or count_nonzero(a))
+        verify_scheme(haar_scheme(), 2)
+        assert counts == [2**18] * 6
+        counts.clear()
+        z = np.random.default_rng(3).standard_normal((512, 512, 2)) @ [1, 1j]
+        family = MebFamily(2, 9, np.linalg.qr(z)[0].T, range(512))
+        certify_meb(family)  # its Gram and its marginals read one verdict
+        assert counts == [2**18]
 
 
 class TestDenseMarginalBins:

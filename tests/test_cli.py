@@ -231,7 +231,7 @@ class TestJsonRoundTrip:
         assert code == EXIT_OK
         doc = json.loads(out)
         masked = mask(build_scheme(8, 2, 6), state)
-        marginals = np.array([partial_trace(masked, [p]).mat for p in range(6)])
+        marginals = np.array([partial_trace(masked, [p]) for p in range(6)])
         assert np.array(doc["amplitudes"]).tobytes() == pairs(masked.amps).tobytes()
         assert np.array(doc["marginals"]).tobytes() == pairs(marginals).tobytes()
 
@@ -362,7 +362,7 @@ class TestTextFormatGoldens:
     def test_mask_text(self, capsys):
         code, out, _ = run(capsys, "mask", "--w", "4", "--d", "2", "--m", "4", "--amps", "0.5,0.5,0.5,0.5", "--format", "text")
         masked = mask(build_scheme(4, 2, 4), StateVector((4,), np.full(4, 0.5)))
-        devs = [np.max(np.abs(partial_trace(masked, [p]).mat - np.eye(2) / 2)) for p in range(4)]
+        devs = [np.max(np.abs(partial_trace(masked, [p]) - np.eye(2) / 2)) for p in range(4)]
         assert code == EXIT_OK
         assert out == "masked state on 4 parties of dimension 2\n" + "".join(
             f"party {p}: max deviation from I/d = {dev:.3e}\n" for p, dev in enumerate(devs)

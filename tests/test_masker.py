@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,7 @@ from quditmask import (
     qudit4_circuit,
     scheme_to_json_dict,
     two_qudit_meb,
+    verify_scheme,
 )
 from oracles import (
     even_parity_code_images,
@@ -267,6 +269,10 @@ class TestDigitEncode:
     def test_too_many_levels_rejected(self):
         with pytest.raises(ShapeError):
             digit_encode(basis_state((5,), (0,)), 2)
+
+    def test_more_than_one_input_party_rejected(self):
+        with pytest.raises(ShapeError, match=r"input must be a single party, got dims \(2, 2\)"):
+            digit_encode(basis_state((2, 2), (0, 1)), 2)
 
 
 class TestMinParties:
@@ -579,3 +585,20 @@ class TestBuildSchemeSignature:
         scheme = build_scheme(np.int64(4), np.int64(2), np.int64(6))
         assert (scheme.w, scheme.d, scheme.m) == (4, 2, 6) and type(scheme.w) is int
         assert scheme.amps.tobytes() == build_scheme(4, 2, 6).amps.tobytes()
+
+
+class TestSchemeIntegerFields:
+    """A caller's MaskingScheme holds w, d and m as Python ints."""
+
+    @pytest.mark.parametrize("w,d,m", [(4.0, 2, 4), (np.float64(4), 2, 4), (4, 2.0, 4), (4, 2, 4.0)])
+    def test_non_integer_fields_raise_type_error(self, w, d, m):
+        with pytest.raises(TypeError):
+            MaskingScheme(w, d, m, build_scheme(4, 2, 4).amps)
+
+    def test_numpy_integers_are_held_as_ints_and_serialize(self):
+        amps = build_scheme(4, 2, 4).amps
+        scheme = MaskingScheme(np.int64(4), np.int64(2), np.int64(4), amps)
+        assert [type(v) for v in (scheme.w, scheme.d, scheme.m)] == [int] * 3
+        doc = scheme_to_json_dict(scheme)
+        assert json.dumps(doc) == json.dumps(scheme_to_json_dict(MaskingScheme(4, 2, 4, amps)))
+        assert verify_scheme(scheme, 2).passed

@@ -48,7 +48,7 @@ class TestTwoQuditMeb:
     def test_marginals_maximally_mixed(self, d):
         for state in two_qudit_meb(d).states:
             for party in (0, 1):
-                rho = partial_trace(state, [party]).mat
+                rho = partial_trace(state, [party])
                 assert np.max(np.abs(rho - np.eye(d) / d)) <= 1e-12
 
     def test_dimension_below_two_rejected(self):
@@ -237,3 +237,16 @@ class TestFamilyBlock:
             MebFamily(d, 3, block, (0,))
         with pytest.raises(error):
             MebFamily(d, 3, block[:0], ())
+
+    def test_numpy_integers_are_held_as_ints_and_serialize(self):
+        amps = ghz_basis(2, 2).amps
+        family = MebFamily(np.int64(2), np.int64(2), amps, np.arange(4))
+        assert [type(k) for k in family.labels] == [int] * 4
+        assert type(family.d) is int and type(family.n_parties) is int
+        assert json.dumps(meb_to_json_dict(family)) == json.dumps(meb_to_json_dict(MebFamily(2, 2, amps, range(4))))
+        cert = certify_meb(family)
+        assert type(cert.complete) is bool and type(cert.expected_count) is int
+        with pytest.raises(TypeError):
+            MebFamily(2, 2.0, amps, range(4))
+        with pytest.raises(TypeError):
+            MebFamily(2, 2, amps, [0.5, 1, 2, 3])

@@ -30,7 +30,6 @@ from quditmask.tensorcore import (
     PAIR_CALL_ENTRIES,
     Block,
     _marginal_stacks,
-    _sparse_support,
     gram_deviation,
     party_marginals,
 )
@@ -53,7 +52,7 @@ def _pair_gram_deviation(amps):
 
 
 def _marginals(amps, dims, keep):
-    """The unchecked marginals on `keep` of the rows of `amps`, on the path
+    """The checked marginals on `keep` of the rows of `amps`, on the path
     the thresholds choose."""
     return _marginal_stacks(Block.of(amps), dims, [keep])[0]
 
@@ -107,7 +106,7 @@ class TestAgreesWithGemm:
     @pytest.mark.parametrize("d,n", [(2, 8), (2, 9), (3, 5), (7, 3)])
     def test_ghz_bases(self, d, n):
         family = ghz_basis(d, n)
-        assert _sparse_support(Block.of(family.amps)) is not None
+        assert Block.of(family.amps).sparse_support is not None
         assert abs(gram_deviation(Block.of(family.amps)) - _gemm_gram_deviation(family.amps)) <= 1e-15
         for p, rho in enumerate(party_marginals(Block.of(family.amps), (d,) * n)):
             assert np.abs(rho - _gemm_marginals(family.amps, (d,) * n, [p])).max() <= 1e-15
@@ -136,7 +135,7 @@ class TestPathChoice:
 
     def test_sparse_large_block_takes_the_pairs(self):
         amps = build_scheme(4, 2, 16).amps
-        assert _sparse_support(Block.of(amps)) is not None
+        assert Block.of(amps).sparse_support is not None
 
     def test_pairs_over_the_budget_fall_back_to_the_gemm(self, monkeypatch):
         family = ghz_basis(2, 9)
@@ -153,12 +152,12 @@ class TestBits:
         inputs = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(5)]
         stack = np.array([mask(scheme, StateVector((4,), a / np.linalg.norm(a))).amps for a in inputs])
         dims = (2,) * 16
-        assert _sparse_support(Block.of(stack)) is not None and _sparse_support(Block.of(stack[:1])) is not None
+        assert Block.of(stack).sparse_support is not None and Block.of(stack[:1]).sparse_support is not None
         for keep in ([0], [3], [15], [2, 9]):
             stacked = _marginals(stack, dims, keep)
             for row, rho in zip(stack, stacked):
                 assert rho.tobytes() == _marginals(row[None], dims, keep)[0].tobytes()
-                assert rho.tobytes() == partial_trace(StateVector(dims, row), keep).mat.tobytes()
+                assert rho.tobytes() == partial_trace(StateVector(dims, row), keep).tobytes()
         for p, rhos in enumerate(party_marginals(Block.of(stack), dims)):
             assert rhos.tobytes() == _marginals(stack, dims, [p]).tobytes()
 
@@ -273,7 +272,7 @@ class TestNonFinite:
     def test_all_zero_row_has_gram_deviation_one(self):
         amps = ghz_basis(2, 9).amps.copy()
         amps[100] = 0
-        assert _sparse_support(Block.of(amps)) is not None
+        assert Block.of(amps).sparse_support is not None
         assert gram_deviation(Block.of(amps)) == 1.0
         assert certify_meb(MebFamily(2, 9, amps, range(512))).max_gram_deviation == 1.0
 

@@ -9,14 +9,13 @@ import inspect
 import types
 
 import quditmask
-from quditmask import BoundsReport, DensityMatrix, StateVector
+from quditmask import BoundsReport, StateVector
 from quditmask import tensorcore
 
 PUBLIC = [
     "BoundViolationError",
     "BoundsReport",
     "Circuit",
-    "DensityMatrix",
     "Gate",
     "LeakageProfile",
     "MaskingReport",
@@ -60,7 +59,6 @@ PUBLIC = [
 # package and the benchmark import these from it.
 TENSORCORE = [
     "Block",
-    "DensityMatrix",
     "ShapeError",
     "StateVector",
     "basis_state",
@@ -79,7 +77,7 @@ def public_members(cls):
 
 
 def test_all_is_the_public_list_and_resolves():
-    assert len(quditmask.__all__) == len(set(quditmask.__all__)) == 41
+    assert len(quditmask.__all__) == len(set(quditmask.__all__)) == 40
     assert sorted(quditmask.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(quditmask, name) is not None
@@ -108,8 +106,8 @@ def test_tensorcore_defines_only_the_listed_public_names():
 def test_state_and_density_members():
     assert [f.name for f in dataclasses.fields(StateVector)] == ["dims", "amps"]
     assert public_members(StateVector) == ["dim", "norm", "tensor"]
-    assert [f.name for f in dataclasses.fields(DensityMatrix)] == ["dim", "mat"]
-    assert public_members(DensityMatrix) == ["trace"]
+    # A marginal is a checked ndarray; there is no density-matrix type.
+    assert not hasattr(quditmask, "DensityMatrix") and not hasattr(tensorcore, "DensityMatrix")
 
 
 def test_bounds_report_fields():

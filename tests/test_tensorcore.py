@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditmask import (
-    DensityMatrix,
     MaskingScheme,
     MebFamily,
     ShapeError,
@@ -24,6 +23,7 @@ from quditmask import (
     partial_trace,
     shift_gate,
     two_qudit_meb,
+    verify_scheme,
 )
 from quditmask.tensorcore import (
     PSD_TOL,
@@ -49,16 +49,17 @@ def joint(a, b):
 
 
 def reduced_densities(amps, dims, keep):
-    """The (N, dk, dk) marginals on `keep` of the rows of an (N, prod(dims))
-    array, the stack checked against the DensityMatrix tolerances."""
+    """The checked (N, dk, dk) marginals on `keep` of the rows of an
+    (N, prod(dims)) array."""
     (rho,) = _marginal_stacks(Block.of(amps), dims, [keep])
-    _check_densities(rho)
     return rho
 
 
 def projector(state):
-    """|state><state| as a validated DensityMatrix."""
-    return DensityMatrix(state.dim, np.outer(state.amps, state.amps.conj()))
+    """|state><state|, checked as a marginal is."""
+    rho = np.outer(state.amps, state.amps.conj())
+    _check_densities(rho[None])
+    return rho
 
 
 class TestStateVector:
@@ -132,27 +133,27 @@ class TestDensityOf:
 
     def test_basis_state_projector(self):
         rho = partial_trace(basis_state((2, 3), (0, 2)), [0])
-        assert rho.mat.tobytes() == projector(basis_state((2,), (0,))).mat.tobytes()
+        assert rho.tobytes() == projector(basis_state((2,), (0,))).tobytes()
 
     def test_plus_state(self):
         plus = StateVector((2,), np.array([1, 1]) / np.sqrt(2))
-        assert np.allclose(partial_trace(joint(plus, basis_state((3,), (1,))), [0]).mat, np.full((2, 2), 0.5))
+        assert np.allclose(partial_trace(joint(plus, basis_state((3,), (1,))), [0]), np.full((2, 2), 0.5))
 
     def test_pure_state_purity(self):
         rng = np.random.default_rng(3)
         for dims in [(2,), (2, 3), (4, 2)]:
             psi = random_state(dims, rng)
             rho = partial_trace(psi, range(len(dims)))
-            assert np.allclose(rho.mat, projector(psi).mat, atol=1e-15)
-            assert np.isclose(np.trace(rho.mat @ rho.mat).real, 1.0, atol=1e-12)
-            assert np.isclose(rho.trace(), 1.0, atol=1e-12)
+            assert np.allclose(rho, projector(psi), atol=1e-15)
+            assert np.isclose(np.trace(rho @ rho).real, 1.0, atol=1e-12)
+            assert np.isclose(np.trace(rho).real, 1.0, atol=1e-12)
 
 
 class TestPartialTrace:
     def test_bell_pair_pair_marginal_is_maximally_mixed(self):
         psi = joint(BELL, BELL)
         rho = partial_trace(psi, [0])
-        assert np.allclose(rho.mat, np.eye(2) / 2, atol=1e-14)
+        assert np.allclose(rho, np.eye(2) / 2, atol=1e-14)
 
     def test_post_copy_state_marginal_diagonal(self):
         # party-0 marginal of a_0|0000> + a_1|1010> + a_2|0100> + a_3|1110>
@@ -162,7 +163,7 @@ class TestPartialTrace:
             (2, 2, 2, 2),
             state_from_kets({"0000": a[0], "1010": a[1], "0100": a[2], "1110": a[3]}, (2, 2, 2, 2)),
         )
-        rho = partial_trace(psi, [0]).mat
+        rho = partial_trace(psi, [0])
         expected = np.diag([abs(a[0]) ** 2 + abs(a[2]) ** 2, abs(a[1]) ** 2 + abs(a[3]) ** 2])
         assert np.allclose(rho, expected, atol=1e-14)
 
@@ -172,7 +173,7 @@ class TestPartialTrace:
         psi = StateVector(
             (2, 2), state_from_kets({"00": a[0], "10": a[1], "01": a[2], "11": a[3]}, (2, 2))
         )
-        rho = partial_trace(psi, [1]).mat
+        rho = partial_trace(psi, [1])
         off = a[0] * np.conj(a[2]) + a[1] * np.conj(a[3])
         expected = np.array(
             [
@@ -198,7 +199,7 @@ class TestPartialTrace:
     @pytest.mark.parametrize("keep,party", [([np.int64(1)], 1), ([True], 1), ([False], 0)])
     def test_integer_like_keep_accepted(self, keep, party):
         psi = random_state((2, 3), np.random.default_rng(7))
-        assert partial_trace(psi, keep).mat.tobytes() == partial_trace(psi, [party]).mat.tobytes()
+        assert partial_trace(psi, keep).tobytes() == partial_trace(psi, [party]).tobytes()
 
     @pytest.mark.parametrize(
         "dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 4), (4, 4, 4), (2, 2, 2, 2, 2), (4, 4, 4, 4)]
@@ -208,7 +209,7 @@ class TestPartialTrace:
         psi = random_state(dims, rng)
         for keep in [[0], [len(dims) - 1], list(range(len(dims) - 1)), [0, len(dims) - 1]]:
             keep = sorted(set(keep))
-            got = partial_trace(psi, keep).mat
+            got = partial_trace(psi, keep)
             want = partial_trace_oracle(psi.amps, psi.dims, keep)
             assert np.max(np.abs(got - want)) <= 1e-13
 
@@ -219,7 +220,7 @@ class TestPartialTrace:
         psi = StateVector(dims, amps)  # deliberately unnormalized
         for party in range(len(dims)):
             rho = partial_trace(psi, [party])
-            assert np.isclose(rho.trace(), psi.norm() ** 2, atol=1e-12 * psi.norm() ** 2)
+            assert np.isclose(np.trace(rho).real, psi.norm() ** 2, atol=1e-12 * psi.norm() ** 2)
 
     def test_product_state_marginal_factorizes(self):
         rng = np.random.default_rng(5)
@@ -227,8 +228,8 @@ class TestPartialTrace:
         phi = StateVector((2, 2), 0.5 * random_state((2, 2), rng).amps)
         both = joint(psi, phi)
         for party in range(2):
-            lhs = partial_trace(both, [party]).mat
-            rhs = partial_trace(psi, [party]).mat * (phi.norm() ** 2)
+            lhs = partial_trace(both, [party])
+            rhs = partial_trace(psi, [party]) * (phi.norm() ** 2)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -252,7 +253,7 @@ class TestReducedDensities:
         states = [random_state((d,) * n, rng) for _ in range(3)]
         stacked = reduced_densities(np.array([s.amps for s in states]), (d,) * n, [1])
         for rho, s in zip(stacked, states):
-            assert rho.tobytes() == partial_trace(s, [1]).mat.tobytes()
+            assert rho.tobytes() == partial_trace(s, [1]).tobytes()
 
     def test_nan_state_stays_in_its_own_rows(self):
         rng = np.random.default_rng(3)
@@ -273,25 +274,23 @@ class TestReducedDensities:
         for bad, message in [(skew, "not Hermitian"), (negative, "not positive semidefinite")]:
             with pytest.raises(ValueError, match=message):
                 _check_densities(np.array([good, bad, good]))
-            with pytest.raises(ValueError, match=message):
-                DensityMatrix(2, bad)
         _check_densities(np.array([good, good]))
 
 
 class TestDistanceToMaximallyMixed:
     def test_maximally_mixed_is_zero(self):
-        assert max_distance_to_maximally_mixed(partial_trace(BELL, [0]).mat) == pytest.approx(0, abs=1e-15)
+        assert max_distance_to_maximally_mixed(partial_trace(BELL, [0])) == pytest.approx(0, abs=1e-15)
 
     def test_pure_marginal(self):
         rho = partial_trace(basis_state((2, 2), (0, 1)), [0])
-        assert max_distance_to_maximally_mixed(rho.mat) == pytest.approx(0.5)
+        assert max_distance_to_maximally_mixed(rho) == pytest.approx(0.5)
 
     def test_meb_marginals_at_d4(self):
         # every element of the 2-qudit family at d=4 has I/4 marginals
         for k in range(16):
             psi = StateVector((4, 4), two_qudit_meb_state_oracle(4, k))
             for party in (0, 1):
-                assert max_distance_to_maximally_mixed(partial_trace(psi, [party]).mat) <= 1e-12
+                assert max_distance_to_maximally_mixed(partial_trace(psi, [party])) <= 1e-12
 
 
 class TestStackStates:
@@ -336,8 +335,6 @@ class TestStackStates:
 
 EQUALITY_CASES = {
     "StateVector": lambda: StateVector((2,), [1, 0]),
-    "DensityMatrix": lambda: projector(BELL),
-    "partial_trace": lambda: partial_trace(BELL, [0]),
     "MaskingScheme": lambda: build_scheme(4, 2, 4),
     "MebFamily": lambda: two_qudit_meb(2),
     "ghz_basis": lambda: ghz_basis(2, 2),
@@ -357,6 +354,8 @@ class TestEqualityIsIdentity:
 
 
 class TestValidatedOnce:
+    """Every marginal the package hands out is checked once, by _marginal_stacks."""
+
     def _count_checks(self, monkeypatch):
         calls = []
         check = lambda rho: calls.append(len(rho)) or _check_densities(rho)  # noqa: E731
@@ -366,16 +365,31 @@ class TestValidatedOnce:
     def test_partial_trace_validates_its_marginal_once(self, monkeypatch):
         calls = self._count_checks(monkeypatch)
         rho = partial_trace(BELL, [1])
-        assert calls == [1] and not rho.mat.flags.writeable
+        assert calls == [1] and type(rho) is np.ndarray and rho.shape == (2, 2)
 
     def test_party_marginals_validates_each_stack_once(self, monkeypatch):
         calls = self._count_checks(monkeypatch)
         party_marginals(Block.of(np.eye(8, dtype=complex)), (2, 2, 2))
         assert calls == [8, 8, 8]
 
-    def test_density_matrix_has_no_check_knob(self):
-        with pytest.raises(TypeError):
-            DensityMatrix(2, np.eye(2) / 2, check=False)
+    def test_leakage_profile_validates_each_party_once(self, monkeypatch):
+        masked = mask(build_scheme(4, 2, 6), haar_random_state(4, np.random.default_rng(2)))
+        calls = self._count_checks(monkeypatch)
+        leakage_profile(masked)
+        assert calls == [1] * 6
+
+    @pytest.mark.parametrize("d,n", [(3, 3), (2, 9)])  # the GEMM, then the pairs
+    def test_certify_meb_validates_each_party_once(self, monkeypatch, d, n):
+        family = ghz_basis(d, n)
+        calls = self._count_checks(monkeypatch)
+        assert certify_meb(family).passed
+        assert calls == [d**n] * n
+
+    def test_verify_scheme_validates_each_marginal_once(self, monkeypatch):
+        scheme = build_scheme(9, 3, 4)
+        calls = self._count_checks(monkeypatch)
+        verify_scheme(scheme, n_samples=3)
+        assert calls == [1] * (scheme.m * (scheme.w + 3))
 
 
 class TestCheckDensitiesContract:
@@ -487,25 +501,27 @@ class TestBasisStateErrors:
         with pytest.raises(ValueError, match="out of range for dimension"):
             basis_state((2, 3), digits)
 
+    @pytest.mark.parametrize("digits", [(0.5,), (np.float64(1),)])
+    def test_non_integer_digit_raises_type_error(self, digits):
+        with pytest.raises(TypeError):
+            basis_state((2,), digits)
+        assert basis_state((2,), (np.int64(1),)).amps.tobytes() == basis_state((2,), (1,)).amps.tobytes()
+
+    def test_dims_are_checked_before_digits(self):
+        with pytest.raises(ValueError, match=r"every party dimension must be >= 2, got \(2, -3\)"):
+            basis_state((2, -3), (0, 0))
+
 
 class TestArrayOwnership:
-    def test_density_matrix_shape_error(self):
-        with pytest.raises(ShapeError, match=r"matrix shape \(2, 3\) != \(2, 2\)"):
-            DensityMatrix(2, np.zeros((2, 3)))
-
-    def test_density_matrix_copies_the_callers_array(self):
-        m = np.eye(2, dtype=complex) / 2
-        rho = DensityMatrix(2, m)
-        assert m.flags.writeable
-        assert not rho.mat.flags.writeable
-        m[0, 0] = 5.0
-        assert rho.mat[0, 0] == 0.5
-
-    def test_density_matrix_from_a_view_is_not_rewritten(self):
-        base = np.eye(2, dtype=complex) / 2
-        rho = DensityMatrix(2, base[:])
-        base[0, 1] = base[1, 0] = 7.0
-        assert rho.mat.tobytes() == (np.eye(2, dtype=complex) / 2).tobytes()
+    @pytest.mark.parametrize("m", [4, 16])  # the GEMM, then the pairs
+    def test_a_marginal_is_the_callers_own(self, m):
+        psi = mask(build_scheme(4, 2, m), haar_random_state(4, np.random.default_rng(m)))
+        amps = psi.amps.tobytes()
+        rho = partial_trace(psi, [0])
+        want = rho.tobytes()
+        rho[:] = 7.0
+        assert psi.amps.tobytes() == amps
+        assert partial_trace(psi, [0]).tobytes() == want
 
     def test_state_vector_copies_a_writeable_array(self):
         # 2^16 amplitudes, 16 nonzero: the marginals take the pairs of the
@@ -514,11 +530,11 @@ class TestArrayOwnership:
         amps[np.random.default_rng(0).choice(2**16, 16, replace=False)] = 0.25
         psi = StateVector((2,) * 16, amps)
         before = psi.amps.tobytes()
-        marginals = [partial_trace(psi, [p]).mat.tobytes() for p in range(16)]
+        marginals = [partial_trace(psi, [p]).tobytes() for p in range(16)]
         assert "support" in vars(psi._block)
         amps[:] = 1.0
         assert psi.amps.tobytes() == before and not psi.amps.flags.writeable
-        assert [partial_trace(psi, [p]).mat.tobytes() for p in range(16)] == marginals
+        assert [partial_trace(psi, [p]).tobytes() for p in range(16)] == marginals
         assert [p.marginal.tobytes() for p in leakage_profile(psi).parties] == marginals
 
     def test_state_vector_holds_a_read_only_array(self):

@@ -232,9 +232,9 @@ def verify_scheme_per_marginal(scheme, n_samples, seed):
         for party in range(scheme.m):
             rho = partial_trace(masked, [party])
             if i == 0:
-                reference[party] = rho.mat
-            deviation[i, party] = np.max(np.abs(rho.mat - np.eye(scheme.d) / scheme.d))
-            variation[i, party] = np.max(np.abs(rho.mat - reference[party]))
+                reference[party] = rho
+            deviation[i, party] = np.max(np.abs(rho - np.eye(scheme.d) / scheme.d))
+            variation[i, party] = np.max(np.abs(rho - reference[party]))
     gram_dev = scheme.gram_deviation()
     return MaskingReport(
         w=scheme.w,
