@@ -118,20 +118,20 @@ def _cmd_mask(args) -> tuple[str, int]:
     # input (exit 64). mask finds the state's support among the scheme's columns, with no scan.
     scheme = masker.build_scheme(args.w, args.d, args.m)
     masked = masker.mask(scheme, _read_amplitudes(args, args.w))
-    marginals = [rho[0] for rho in party_marginals(masked._block, masked.dims)]
+    marginals = party_marginals(masked._block, masked.dims)[:, 0]  # (m, d, d)
     if args.format == "json":
         doc = {
             "w": args.w,
             "d": args.d,
             "m": args.m,
             "amplitudes": complex_pairs(masked.amps),
-            "marginals": [complex_pairs(rho) for rho in marginals],
+            "marginals": complex_pairs(marginals),
         }
         payload = _dump_json(doc)
     else:
         lines = [f"masked state on {args.m} parties of dimension {args.d}"]
-        for p, rho in enumerate(marginals):
-            lines.append(f"party {p}: max deviation from I/d = {max_distance_to_maximally_mixed(rho):.3e}")
+        for p, dev in enumerate(max_distance_to_maximally_mixed(marginals, axis=(1, 2))):
+            lines.append(f"party {p}: max deviation from I/d = {dev:.3e}")
         payload = "\n".join(lines) + "\n"
     return payload, EXIT_OK
 

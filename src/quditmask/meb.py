@@ -116,10 +116,9 @@ def certify_meb(family: MebFamily) -> MebCertification:
     expected = family.d**family.n_parties
     count = family._block.shape[0]
     gram_dev = gram_deviation(family._block)
-    marginals = party_marginals(family._block, (family.d,) * family.n_parties)
-    marg_devs = [max_distance_to_maximally_mixed(rho) for rho in marginals]
-    # np.max, unlike the builtin max, keeps NaN, so a NaN state fails the check.
-    marg_dev = float(np.max(marg_devs, initial=0.0))
+    # One reduction over the (n, N, d, d) table of every party's marginals;
+    # it keeps NaN, so a NaN state fails the check.
+    marg_dev = max_distance_to_maximally_mixed(party_marginals(family._block, (family.d,) * family.n_parties))
     return MebCertification(
         orthonormal=gram_dev <= GRAM_TOL,
         marginals_maximally_mixed=marg_dev <= MEB_MARGINAL_TOL,

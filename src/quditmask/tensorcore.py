@@ -9,6 +9,7 @@ you'd read off left to right.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from collections.abc import Callable
@@ -260,30 +261,34 @@ class _StateBlock:
         return self.__dict__[name]
 
 
-def _check_densities(rho: np.ndarray) -> None:
-    """Raise ValueError unless every matrix of the (N, k, k) stack is
-    Hermitian and positive semidefinite within tolerance."""
+def _check_densities(*stacks: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of the (N, k, k) stacks is
+    Hermitian and positive semidefinite within tolerance. Every stack is
+    tested for Hermiticity before any is tested for PSD."""
     # ndarray-method reductions: the np.max/np.min wrappers cost more than
     # the reductions themselves on these small stacks.
-    rho_h = rho.conj().transpose(0, 2, 1)
-    if np.abs(rho - rho_h).max(initial=0.0) > HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    herm = rho + rho_h
-    herm *= 0.5  # in place; halving is exact, so the bits of (rho + rho_h) / 2
-    # Gershgorin: no eigenvalue of a matrix lies below min_i (h_ii - the sum
-    # of |h_ij| over j != i), and 2 h_ii - sum_j |h_ij| is that bound, or
-    # lower where h_ii < 0. Matrices whose rows all clear the tolerance need
-    # no eigvalsh; the rest, non-finite ones included, go on as before.
-    bound = 2 * herm.real.diagonal(0, 1, 2) - np.einsum("nij->ni", np.abs(herm))
-    if bound.min(initial=np.inf) >= -PSD_TOL:
-        return
-    herm = herm[~(bound >= -PSD_TOL).all(axis=1)]
-    if not np.isfinite(herm).all():
-        # LAPACK fails on a non-finite matrix, so those are left out; their
-        # NaN entries fail every deviation check downstream.
-        herm = herm[np.isfinite(herm).all(axis=(1, 2))]
-    if np.linalg.eigvalsh(herm).min(initial=0.0) < -PSD_TOL:
-        raise ValueError("matrix is not positive semidefinite within tolerance")
+    suspects = []
+    for rho in stacks:
+        rho_h = rho.conj().transpose(0, 2, 1)
+        if np.abs(rho - rho_h).max(initial=0.0) > HERMITICITY_TOL:
+            raise ValueError("matrix is not Hermitian within tolerance")
+        herm = rho + rho_h
+        herm *= 0.5  # in place; halving is exact, so the bits of (rho + rho_h) / 2
+        # Gershgorin: no eigenvalue of a matrix lies below min_i (h_ii - the
+        # sum of |h_ij| over j != i), and 2 h_ii - sum_j |h_ij| is that bound,
+        # or lower where h_ii < 0. Matrices whose rows all clear the tolerance
+        # need no eigvalsh; the rest, non-finite ones included, are kept for
+        # it, which runs once every stack has passed the Hermiticity test.
+        bound = 2 * herm.real.diagonal(0, 1, 2) - np.einsum("nij->ni", np.abs(herm))
+        if not bound.min(initial=np.inf) >= -PSD_TOL:  # NaN fails it
+            suspects.append(herm[~(bound >= -PSD_TOL).all(axis=1)])
+    for herm in suspects:
+        if not np.isfinite(herm).all():
+            # LAPACK fails on a non-finite matrix, so those are left out; their
+            # NaN entries fail every deviation check downstream.
+            herm = herm[np.isfinite(herm).all(axis=(1, 2))]
+        if np.linalg.eigvalsh(herm).min(initial=0.0) < -PSD_TOL:
+            raise ValueError("matrix is not positive semidefinite within tolerance")
 
 
 def check_size_budget(rows: int, base: int, power: int = 1) -> None:
@@ -331,12 +336,13 @@ PAIR_BYTES = 96  # working bytes per ordered pair in _pair_sums (tracemalloc: 74
 PAIR_CALL_ENTRIES = 2**14
 
 
-def _pair_sums(keys, left, right, vals, size=None):
+def _pair_sums(keys, left, right, vals, out=None):
     """(bins, sums) over every ordered pair (i, j) of entries with equal
     keys: the bins left[i] + right[j] that some pair reaches, in ascending
-    order, and each bin's sum of vals[i] * conj(vals[j]). With `size`, the
-    bins lie in [0, size) and come back as None, with sums over all of them,
-    0 where no pair reaches. None if the pairs are over the size budget.
+    order, and each bin's sum of vals[i] * conj(vals[j]). With `out`, a flat
+    complex array, the bins lie in [0, len(out)) and come back as None, with
+    the sums over all of them written into `out`, 0 where no pair reaches.
+    None if the pairs are over the size budget, with `out` unwritten.
     Entries come sorted by key.
 
     Each bin sums its pairs in entry order (np.bincount adds in input order),
@@ -354,61 +360,81 @@ def _pair_sums(keys, left, right, vals, size=None):
     offset = np.cumsum(per_entry) - per_entry
     j = np.arange(n_pairs) - np.repeat(offset - np.flatnonzero(first)[group], per_entry)
     bins = left[i] + right[j]
-    if size is None:
+    if out is None:
         bins, inverse = np.unique(bins, return_inverse=True)
-        size = len(bins)
+        out = np.empty(len(bins), dtype=complex)
     else:
         bins, inverse = None, bins
     prod = vals[i] * vals[j].conj()
-    sums = np.empty(size, dtype=complex)
-    sums.real = np.bincount(inverse, prod.real, size)
-    sums.imag = np.bincount(inverse, prod.imag, size)
-    return bins, sums
+    out.real = np.bincount(inverse, prod.real, len(out))
+    out.imag = np.bincount(inverse, prod.imag, len(out))
+    return bins, out
 
 
-def _pair_marginals(block: Block, dims: tuple[int, ...], keeps):
-    """The (N, dk, dk) marginals of an (N, D) block on each keep-set of
-    `keeps`, from one _pair_sums call over its support; None if the pairs
-    are over the size budget.
+def _pair_marginals(block: Block, dims: tuple[int, ...], keeps, out: np.ndarray) -> bool:
+    """Sum the (N, dk, dk) marginals of an (N, D) block on each keep-set of
+    `keeps` into the flat array `out`, one keep-set after another, from one
+    _pair_sums call over its support; False, with `out` unwritten, if the
+    pairs are over the size budget. Raises ValueError unless every key, and
+    K·N·D above them, fits in an int64.
 
     Each column splits into its kept index and its rest (the column with the
-    kept digits zeroed); entries sharing (keep-set, row, rest) pair up. The
-    stable sort keeps each keep-set's entries in the order they have alone,
-    and each keep-set's bins lie past the previous one's, so every marginal
-    gets the bits it gets with its keep-set alone."""
+    kept digits zeroed); entries sharing (keep-set, row, rest) pair up, under
+    the int64 key (keep-set·N + row)·D + rest. Every keep-set takes the same
+    steps at once, one per kept position: a shorter keep-set is padded with a
+    party of dimension 1 and stride 1, whose digit is 0 and leaves its kept
+    index and key as they are. The stable sort keeps each keep-set's entries
+    in the order they have alone, and each keep-set's bins lie past the
+    previous one's, so every marginal gets the bits it gets with its
+    keep-set alone."""
     rows, cols, vals = block.support
     n, width = block.shape
-    size = len(vals)
-    d_keeps = [math.prod(dims[p] for p in keep) for keep in keeps]
-    starts = np.cumsum([0] + [n * dk * dk for dk in d_keeps])
-    group = np.empty(len(keeps) * size, dtype=np.int64)
-    left, right = np.empty_like(group), np.empty_like(group)
-    for b, (keep, dk) in enumerate(zip(keeps, d_keeps)):
-        kept, key = np.zeros_like(cols), (b * n + rows) * width + cols
-        for p in keep:
-            stride = math.prod(dims[p + 1:])
-            digit = cols // stride % dims[p]
-            kept = kept * dims[p] + digit
-            key -= digit * stride
-        part = slice(b * size, (b + 1) * size)
-        group[part], left[part], right[part] = key, starts[b] + (rows * dk + kept) * dk, kept
-    order = np.argsort(group, kind="stable")
-    pairs = _pair_sums(group[order], left[order], right[order], vals[order % size], int(starts[-1]))
-    if pairs is None:
-        return None
-    rho = pairs[1]
-    return [rho[starts[b]:starts[b + 1]].reshape(n, dk, dk) for b, dk in enumerate(d_keeps)]
+    if len(keeps) * n * width >= 2**63:
+        raise ValueError(f"{len(keeps)} keep-sets of a {n} x {width} block overflow the 64-bit pair keys")
+    m, kmax = len(dims), max(map(len, keeps))
+    suffix = list(itertools.accumulate(reversed(dims), operator.mul, initial=1))[::-1]
+    padded = np.array([keep + [m] * (kmax - len(keep)) for keep in keeps])
+    radix = np.array(dims + (1,))[padded]  # (K, kmax): each kept position's dimension
+    stride = np.array(suffix[1:] + [1])[padded]
+    d_keeps = radix.prod(axis=1, keepdims=True)
+    sizes = n * d_keeps * d_keeps
+    kept = np.zeros((len(keeps), len(cols)), dtype=np.int64)
+    key = (np.arange(len(keeps))[:, None] * n + rows) * width + cols
+    for r, s in zip(radix.T[:, :, None], stride.T[:, :, None]):
+        digit = cols // s % r
+        kept = kept * r + digit
+        key -= digit * s
+    del digit  # freed before the pairs, which set the call's peak
+    left = np.cumsum(sizes, axis=0) - sizes + (rows * d_keeps + kept) * d_keeps
+    order = np.argsort(key.reshape(-1), kind="stable")
+    pairs = _pair_sums(key.reshape(-1)[order], left.reshape(-1)[order], kept.reshape(-1)[order],
+                       vals[order % len(vals)], out)
+    return pairs is not None
 
 
-def _marginal_stacks(block: Block, dims: tuple[int, ...], keeps) -> list[np.ndarray]:
+def _kept_first(block: Block, dims: tuple[int, ...], keep) -> np.ndarray:
+    """The (N, dk, D / dk) view of an (N, D) block, made if need be, with
+    the kept parties' digits first, whose product with its conjugate
+    transpose is the GEMM path's (N, dk, dk) marginals on `keep`."""
+    n = block.shape[0]
+    d_keep = math.prod(dims[i] for i in keep)
+    drop = [i for i in range(len(dims)) if i not in keep]
+    psi = block.amps.reshape((n,) + dims).transpose([0] + [i + 1 for i in keep + drop])
+    return psi.reshape(n, d_keep, block.shape[1] // d_keep)
+
+
+def _marginal_stacks(block: Block, dims: tuple[int, ...], keeps):
     """The (N, dk, dk) reduced density matrices of the rows of an (N, D)
     block on each keep-set of `keeps`, dk the product of the kept
-    dimensions, with the kept parties in their relative order. Each stack
-    is checked once by _check_densities, the one check of every marginal
-    the package returns. A sparse block (Block.sparse_support) takes the
-    pairs of its support, as many keep-sets to a _pair_sums call as the
-    size budget and PAIR_CALL_ENTRIES admit; the rest take one GEMM per
-    keep-set, on the block made if need be."""
+    dimensions, with the kept parties in their relative order: one
+    (K, N, dk, dk) array when every keep-set has the same dk, else a list
+    of the K stacks. One call checks all of them with one _check_densities call,
+    the one check of every marginal the package returns: the stacks of
+    one dk lie back to back in one buffer and are checked as one stack.
+    A sparse block (Block.sparse_support) takes the pairs of its support,
+    as many keep-sets to a _pair_sums call as the size budget and
+    PAIR_CALL_ENTRIES admit; the rest take one GEMM per keep-set, on the
+    block made if need be."""
     dims = tuple(dims)
     keeps = [sorted(set(map(operator.index, keep))) for keep in keeps]
     for keep in keeps:
@@ -416,35 +442,58 @@ def _marginal_stacks(block: Block, dims: tuple[int, ...], keeps) -> list[np.ndar
             raise ValueError("keep-set must be non-empty")
         if keep[0] < 0 or keep[-1] >= len(dims):
             raise ValueError(f"keep-set {keep} out of range for {len(dims)} parties")
-    out = [None] * len(keeps)
+    n = block.shape[0]
     sup = block.sparse_support
+    if len(keeps) == 1:
+        # partial_trace's call: one stack, made with no buffer to lay out.
+        rho = None
+        if sup is not None:
+            d_keep = math.prod(dims[p] for p in keeps[0])
+            rho = np.empty((n, d_keep, d_keep), dtype=complex)
+            if not _pair_marginals(block, dims, keeps, rho.reshape(-1)):
+                rho = None
+        if rho is None:
+            psi = _kept_first(block, dims, keeps[0])
+            rho = psi @ psi.conj().transpose(0, 2, 1)
+        _check_densities(rho)
+        return rho[None]
+    d_keeps = [math.prod(dims[p] for p in keep) for keep in keeps]
+    # Sorted by dk, stably, so each dk's stacks are one run of the buffer.
+    order = sorted(range(len(keeps)), key=d_keeps.__getitem__)
+    bounds = list(itertools.accumulate((n * d_keeps[k] ** 2 for k in order), initial=0))
+    flat = np.empty(bounds[-1], dtype=complex)
+    done = [False] * len(keeps)
     if sup is not None:
         # A group's entries differ only in their kept digits, so an entry has
         # at most dk partners, and its keys cost about one more pair. One
         # keep-set a call is checked against the budget by _pair_sums alone.
-        d_max = max(math.prod(dims[p] for p in keep) for keep in keeps)
-        entries = min(PAIR_CALL_ENTRIES, SIZE_BUDGET_BYTES // (PAIR_BYTES * (d_max + 1)))
+        entries = min(PAIR_CALL_ENTRIES, SIZE_BUDGET_BYTES // (PAIR_BYTES * (max(d_keeps) + 1)))
         per_call = max(1, entries // max(len(sup[2]), 1))
         for start in range(0, len(keeps), per_call):
-            rhos = _pair_marginals(block, dims, keeps[start:start + per_call])
-            if rhos is not None:
-                out[start:start + per_call] = rhos
-    n = block.shape[0]
-    for k, keep in enumerate(keeps):
-        if out[k] is None:
-            d_keep = math.prod(dims[i] for i in keep)
-            drop = [i for i in range(len(dims)) if i not in keep]
-            psi = block.amps.reshape((n,) + dims).transpose([0] + [i + 1 for i in keep + drop])
-            psi = psi.reshape(n, d_keep, math.prod(dims) // d_keep)
-            out[k] = psi @ psi.conj().transpose(0, 2, 1)
-    for rho in out:
-        _check_densities(rho)
-    return out
+            call = order[start:start + per_call]
+            part = flat[bounds[start]:bounds[start + len(call)]]
+            if _pair_marginals(block, dims, [keeps[k] for k in call], part):
+                for k in call:
+                    done[k] = True
+    out, runs = [None] * len(keeps), {}  # runs: each dk's [start, end) in the buffer
+    for i, k in enumerate(order):
+        dk = d_keeps[k]
+        out[k] = flat[bounds[i]:bounds[i + 1]].reshape(n, dk, dk)
+        if not done[k]:
+            psi = _kept_first(block, dims, keeps[k])
+            np.matmul(psi, psi.conj().transpose(0, 2, 1), out=out[k])  # the bits of a new product
+        runs.setdefault(dk, [bounds[i], 0])[1] = bounds[i + 1]
+    _check_densities(*(flat[a:b].reshape(-1, dk, dk) for dk, (a, b) in runs.items()))
+    if len(runs) > 1:
+        return out
+    (dk,) = runs
+    return flat.reshape(len(keeps), n, dk, dk)
 
 
-def party_marginals(block: Block, dims: tuple[int, ...]) -> list[np.ndarray]:
+def party_marginals(block: Block, dims: tuple[int, ...]) -> np.ndarray | list[np.ndarray]:
     """The checked (N, d_p, d_p) one-party marginals of the rows of an
-    (N, D) block for every party p."""
+    (N, D) block for every party p: one (m, N, d, d) array on a register
+    of one party dimension d, else a list of the m stacks."""
     return _marginal_stacks(block, dims, [[p] for p in range(len(dims))])
 
 
@@ -452,14 +501,16 @@ def partial_trace(state: StateVector, keep: list[int] | tuple[int, ...] | set[in
     """The checked (dk, dk) reduced density matrix on the `keep` parties,
     tracing out the rest; the kept parties retain their relative order.
     The array is new on each call and shares memory with nothing."""
-    return _marginal_stacks(state._block, state.dims, [keep])[0][0]
+    return _marginal_stacks(state._block, state.dims, [keep])[0, 0]
 
 
-def max_distance_to_maximally_mixed(mats: np.ndarray) -> float:
-    """Max-entry norm of mat - I/d over a (..., d, d) stack; 0.0 if empty,
-    NaN if any entry is NaN."""
+def max_distance_to_maximally_mixed(mats: np.ndarray, axis=None):
+    """Max-entry norm of mat - I/d over a (..., d, d) stack, as a float, or
+    with `axis`, as the array of maxima over those axes; 0.0 where empty,
+    NaN where any entry is NaN."""
     d = mats.shape[-1]
-    return float(np.abs(mats - np.eye(d) / d).max(initial=0.0))
+    dist = np.abs(mats - np.eye(d) / d).max(axis=axis, initial=0.0)
+    return float(dist) if axis is None else dist
 
 
 def gram_deviation(block: Block) -> float:

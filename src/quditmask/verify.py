@@ -114,7 +114,7 @@ def verify_scheme(scheme: MaskingScheme, n_samples: int = 100, seed: int = 0) ->
         masked = mask(scheme, state)
         for party in range(scheme.m):
             table[i, party] = partial_trace(masked, [party])
-    deviation = np.array([max_distance_to_maximally_mixed(table[:, p]) for p in range(scheme.m)])
+    deviation = max_distance_to_maximally_mixed(table, axis=(0, 2, 3))
     variation = np.abs(table - table[0]).max(axis=(0, 2, 3))
     # ndarray.max, unlike the builtin max, keeps NaN, so a NaN marginal fails its check.
     per_party_dev = tuple(deviation.tolist())

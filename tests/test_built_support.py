@@ -304,10 +304,11 @@ class TestDenseMarginalBins:
         left, right = rng.integers(0, 30, 300) * 30, rng.integers(0, 30, 300)
         vals = rng.standard_normal(300) + 1j * rng.standard_normal(300)
         bins, sums = _pair_sums(keys, left, right, vals)
-        unsorted, dense = _pair_sums(keys, left, right, vals, 900)
+        out = np.full(900, np.nan, dtype=complex)
+        unsorted, dense = _pair_sums(keys, left, right, vals, out)
         expected = np.zeros(900, dtype=complex)
         expected[bins] = sums
-        assert unsorted is None
+        assert unsorted is None and dense is out
         assert dense.tobytes() == expected.tobytes()
 
     def test_marginals_sort_no_bins(self, monkeypatch):

@@ -4,6 +4,7 @@ agree with the GEMM path and with the brute-force oracle."""
 
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -233,6 +234,119 @@ class TestOneCallForAllParties:
         together = party_marginals(Block.of(family.amps), dims)
         assert len(calls) == -(-10 // (PAIR_CALL_ENTRIES // 2048)) > 1
         assert [rho.tobytes() for rho in together] == [rho.tobytes() for rho in alone]
+
+
+def _loop_pair_marginals(block, dims, keeps, out):
+    """The per-keep-set key loop the batched keys replaced, kept as their
+    reference: one pass over the support per keep-set and per kept party."""
+    rows, cols, vals = block.support
+    n, width = block.shape
+    size = len(vals)
+    d_keeps = [math.prod(dims[p] for p in keep) for keep in keeps]
+    starts = np.cumsum([0] + [n * dk * dk for dk in d_keeps])
+    group = np.empty(len(keeps) * size, dtype=np.int64)
+    left, right = np.empty_like(group), np.empty_like(group)
+    for b, (keep, dk) in enumerate(zip(keeps, d_keeps)):
+        kept, key = np.zeros_like(cols), (b * n + rows) * width + cols
+        for p in keep:
+            stride = math.prod(dims[p + 1:])
+            digit = cols // stride % dims[p]
+            kept = kept * dims[p] + digit
+            key -= digit * stride
+        part = slice(b * size, (b + 1) * size)
+        group[part], left[part], right[part] = key, starts[b] + (rows * dk + kept) * dk, kept
+    order = np.argsort(group, kind="stable")
+    return tensorcore._pair_sums(group[order], left[order], right[order], vals[order % size], out) is not None
+
+
+@st.composite
+def keyed_cases(draw):
+    """(block, dims, keeps): 1-3 rows with random supports, one of them
+    NaN at times, on a mixed or uniform register, and 1-5 keep-sets of
+    mixed sizes in any order."""
+    dims = draw(st.sampled_from([(2, 3, 5), (3, 3, 3, 3), (5, 2, 3, 2), (2, 2, 2, 2, 2), (4, 3)]))
+    dim = math.prod(dims)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = np.zeros((draw(st.integers(1, 3)), dim), dtype=complex)
+    for row in amps:
+        idx = rng.choice(dim, size=draw(st.integers(1, max(1, dim // 3))), replace=False)
+        row[idx] = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
+    if draw(st.booleans()):
+        amps.reshape(-1)[rng.choice(np.flatnonzero(amps))] = np.nan
+    parties = st.lists(st.integers(0, len(dims) - 1), min_size=1, max_size=len(dims), unique=True)
+    keeps = [sorted(keep) for keep in draw(st.lists(parties, min_size=1, max_size=5))]
+    return Block.of(amps), dims, keeps
+
+
+class TestBatchedKeys:
+    """_pair_marginals takes every keep-set's keys in one padded pass, with
+    the bits of the per-keep-set loop; a key past int64 is refused."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(keyed_cases())
+    def test_bits_match_the_per_keep_set_loop(self, case):
+        block, dims, keeps = case
+        size = block.shape[0] * sum(math.prod(dims[p] for p in keep) ** 2 for keep in keeps)
+        args = {}
+        with pytest.MonkeyPatch.context() as m:
+            pair_sums = tensorcore._pair_sums
+            for side in ("loop", "batched"):
+                m.setattr(tensorcore, "_pair_sums", lambda *a, side=side: args.setdefault(side, a) and pair_sums(*a))
+                out = np.full(size, 7.0, dtype=complex)
+                run = _loop_pair_marginals if side == "loop" else tensorcore._pair_marginals
+                assert run(block, dims, keeps, out)
+                args[side] = args[side][:4] + (out.tobytes(),)
+        loop, batched = args["loop"], args["batched"]
+        assert [a.tobytes() if isinstance(a, np.ndarray) else a for a in batched] == [
+            a.tobytes() if isinstance(a, np.ndarray) else a for a in loop
+        ]
+
+    @pytest.mark.parametrize("dims,keeps", [
+        ((2, 3, 5), [[0], [1], [2], [0, 2], [1, 2], [0, 1, 2]]),
+        ((3, 3, 3, 3), [[3], [0], [2], [1]]),
+        ((3, 3, 3, 3), [[0, 1], [2], [1, 3], [0]]),
+    ])
+    def test_gemm_stacks_have_the_bits_of_one_product_each(self, dims, keeps):
+        rng = np.random.default_rng(len(keeps))
+        amps = rng.standard_normal((4, math.prod(dims))) + 1j * rng.standard_normal((4, math.prod(dims)))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(tensorcore, "PAIR_MIN_ENTRIES", 2**62)
+            stacks = _marginal_stacks(Block.of(amps), dims, keeps)
+        for keep, rho in zip(keeps, stacks):
+            drop = [p for p in range(len(dims)) if p not in keep]
+            psi = amps.reshape((4,) + dims).transpose([0] + [p + 1 for p in keep + drop])
+            psi = psi.reshape(4, math.prod(dims[p] for p in keep), -1)
+            assert rho.tobytes() == (psi @ psi.conj().transpose(0, 2, 1)).tobytes()
+
+    def test_equal_dimension_stacks_come_as_one_table(self):
+        family = ghz_basis(2, 9)
+        table = party_marginals(family._block, (2,) * 9)
+        assert type(table) is np.ndarray and table.shape == (9, 512, 2, 2)
+        mixed = party_marginals(Block.of(np.eye(30, dtype=complex)), (2, 3, 5))
+        assert type(mixed) is list and [rho.shape for rho in mixed] == [(30, 2, 2), (30, 3, 3), (30, 5, 5)]
+        # One party is one keep-set, which skips the buffer and is still a table.
+        one = party_marginals(Block.of(np.eye(3, dtype=complex)), (3,))
+        assert type(one) is np.ndarray and one.shape == (1, 3, 3, 3)
+        assert certify_meb(MebFamily(3, 1, np.eye(3), range(3))).max_marginal_deviation == 1 - 1 / 3
+
+    def test_a_key_past_int64_is_refused(self):
+        # A GHZ state on 62 qubits, one row of 2^62 columns: K keep-sets have
+        # keys below K * 2^62, which reaches 2^63 at K = 2. Before the guard,
+        # the keys wrapped and the marginals came back wrong, not refused.
+        dims = (2,) * 62
+        block = Block.at((1, 2**62), np.zeros(2, dtype=np.int64), np.array([0, 2**62 - 1]),
+                         np.full(2, 2**-0.5, dtype=complex))
+        with pytest.raises(ValueError, match="64-bit pair keys"):
+            party_marginals(block, dims)
+        with pytest.raises(ValueError, match="64-bit pair keys"):
+            _marginal_stacks(block, dims, [[0], [61]])
+        for keeps in ([[61]], [[0, 61]]):
+            for rho in _marginal_stacks(block, dims, keeps):
+                dk = rho.shape[-1]
+                want = np.eye(dk) / 2 if dk == 2 else np.diag([0.5, 0, 0, 0.5])
+                assert np.abs(rho[0] - want).max() <= 1e-15
+        assert "amps" not in vars(block)
 
 
 class TestRowViews:

@@ -25,6 +25,7 @@ from quditmask import (
     two_qudit_meb,
     verify_scheme,
 )
+from quditmask import tensorcore
 from quditmask.tensorcore import (
     PSD_TOL,
     Block,
@@ -354,11 +355,12 @@ class TestEqualityIsIdentity:
 
 
 class TestValidatedOnce:
-    """Every marginal the package hands out is checked once, by _marginal_stacks."""
+    """Every marginal the package hands out is checked exactly once, by the
+    one _check_densities call of its _marginal_stacks call."""
 
     def _count_checks(self, monkeypatch):
         calls = []
-        check = lambda rho: calls.append(len(rho)) or _check_densities(rho)  # noqa: E731
+        check = lambda *stacks: calls.append(sum(map(len, stacks))) or _check_densities(*stacks)  # noqa: E731
         monkeypatch.setattr("quditmask.tensorcore._check_densities", check)
         return calls
 
@@ -370,26 +372,54 @@ class TestValidatedOnce:
     def test_party_marginals_validates_each_stack_once(self, monkeypatch):
         calls = self._count_checks(monkeypatch)
         party_marginals(Block.of(np.eye(8, dtype=complex)), (2, 2, 2))
-        assert calls == [8, 8, 8]
+        assert calls == [24]
+
+    def test_mixed_dimensions_take_one_call(self, monkeypatch):
+        calls = self._count_checks(monkeypatch)
+        stacks = party_marginals(Block.of(np.eye(30, dtype=complex)), (2, 3, 5))
+        assert calls == [90] and [rho.shape for rho in stacks] == [(30, 2, 2), (30, 3, 3), (30, 5, 5)]
 
     def test_leakage_profile_validates_each_party_once(self, monkeypatch):
         masked = mask(build_scheme(4, 2, 6), haar_random_state(4, np.random.default_rng(2)))
         calls = self._count_checks(monkeypatch)
         leakage_profile(masked)
-        assert calls == [1] * 6
+        assert calls == [6]
 
     @pytest.mark.parametrize("d,n", [(3, 3), (2, 9)])  # the GEMM, then the pairs
     def test_certify_meb_validates_each_party_once(self, monkeypatch, d, n):
         family = ghz_basis(d, n)
         calls = self._count_checks(monkeypatch)
         assert certify_meb(family).passed
-        assert calls == [d**n] * n
+        assert calls == [n * d**n]
 
     def test_verify_scheme_validates_each_marginal_once(self, monkeypatch):
         scheme = build_scheme(9, 3, 4)
         calls = self._count_checks(monkeypatch)
         verify_scheme(scheme, n_samples=3)
         assert calls == [1] * (scheme.m * (scheme.w + 3))
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3)])  # one stack, then one per dk
+    def test_hermiticity_anywhere_is_reported_before_psd_anywhere(self, dims):
+        # Row 0 has a negative marginal on party 0; row 1 a non-Hermitian one
+        # on the last party, which comes later in keep-set and in dk order.
+        stacks = [np.stack([np.eye(d, dtype=complex) / d] * 2) for d in dims]
+        stacks[0][0] = np.diag([1.5] + [-0.5 / (dims[0] - 1)] * (dims[0] - 1))
+        stacks[-1][1, 0, 1] = 1e-9
+
+        def pairs(block, dims, keeps, out):
+            out[:] = np.concatenate([stacks[p].reshape(-1) for (p,) in keeps])
+            return True
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(tensorcore, "PAIR_MIN_ENTRIES", 0)
+            m.setattr(tensorcore, "PAIR_MAX_FILL", 1)
+            m.setattr(tensorcore, "_pair_marginals", pairs)
+            block = Block.of(np.ones((2, int(np.prod(dims))), dtype=complex))
+            with pytest.raises(ValueError, match="Hermitian"):
+                party_marginals(block, dims)
+            stacks[-1][1, 0, 1] = 0
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                party_marginals(block, dims)
 
 
 class TestCheckDensitiesContract:
