@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -19,8 +19,9 @@ from . import gates, masker, verify
 from .masker import BoundViolationError
 from .tensorcore import (
     INPUT_NORM_TOL,
+    TEXT_CHUNK,
     StateVector,
-    complex_pairs,
+    _json_chunks,
     max_distance_to_maximally_mixed,
     party_marginals,
 )
@@ -43,9 +44,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _emit(payload: str, output: str | None):
+def _emit(chunks: Iterable[str], output: str | None):
+    """Write the chunks of a command's output one at a time. The file is
+    opened first, so an unwritable one fails before any byte is written."""
     if output is None:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunks)
         return
     if not os.path.isabs(output):
         base = os.environ.get(OUTPUT_DIR_ENV)
@@ -53,14 +56,24 @@ def _emit(payload: str, output: str | None):
             output = os.path.join(base, output)
     try:
         with open(output, "w") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
     except OSError as exc:
         raise UsageError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
-def _dump_json(doc: dict) -> str:
-    # json writes each float's repr, which round-trips doubles exactly.
-    return json.dumps(doc, indent=2) + "\n"
+def _json(doc: dict) -> Iterator[str]:
+    """The text of json.dumps(doc, indent=2) and a newline, in chunks; the
+    complex arrays in `doc` are written as [re, im] pairs. Each float is its
+    repr, which round-trips doubles exactly."""
+    yield from _json_chunks(doc)
+    yield "\n"
+
+
+def _text_amplitudes(amps: np.ndarray) -> Iterator[str]:
+    """One '+re +im' line per amplitude, with 12 decimals, in chunks."""
+    for start in range(0, len(amps), TEXT_CHUNK):
+        part = amps[start:start + TEXT_CHUNK]
+        yield ("%+.12f %+.12f\n" * len(part)) % tuple(part.view(np.float64).tolist())
 
 
 def _read_amplitudes(args, w: int) -> StateVector:
@@ -101,18 +114,18 @@ def _read_amplitudes(args, w: int) -> StateVector:
     return StateVector((w,), amps)
 
 
-def _cmd_build(args) -> tuple[str, int]:
+def _cmd_build(args) -> tuple[Iterable[str], int]:
     scheme = masker.build_scheme(args.w, args.d, args.m)
     if args.format == "json":
-        payload = _dump_json(masker.scheme_to_json_dict(scheme))
+        payload = _json(masker._scheme_document(scheme))
     else:
         lines = [f"masking scheme {scheme.provenance}: w={scheme.w} d={scheme.d} m={scheme.m}"]
         lines.append(f"gram deviation: {scheme.gram_deviation():.3e}")
-        payload = "\n".join(lines) + "\n"
+        payload = ["\n".join(lines) + "\n"]
     return payload, EXIT_OK
 
 
-def _cmd_mask(args) -> tuple[str, int]:
+def _cmd_mask(args) -> tuple[Iterable[str], int]:
     # A built scheme holds its images' support, not their block, so keeping it costs no block;
     # it is built first, so a bound violation (exit 3) is still reported before a malformed
     # input (exit 64). mask finds the state's support among the scheme's columns, with no scan.
@@ -120,23 +133,16 @@ def _cmd_mask(args) -> tuple[str, int]:
     masked = masker.mask(scheme, _read_amplitudes(args, args.w))
     marginals = party_marginals(masked._block, masked.dims)[:, 0]  # (m, d, d)
     if args.format == "json":
-        doc = {
-            "w": args.w,
-            "d": args.d,
-            "m": args.m,
-            "amplitudes": complex_pairs(masked.amps),
-            "marginals": complex_pairs(marginals),
-        }
-        payload = _dump_json(doc)
+        payload = _json({"w": args.w, "d": args.d, "m": args.m, "amplitudes": masked.amps, "marginals": marginals})
     else:
         lines = [f"masked state on {args.m} parties of dimension {args.d}"]
         for p, dev in enumerate(max_distance_to_maximally_mixed(marginals, axis=(1, 2))):
             lines.append(f"party {p}: max deviation from I/d = {dev:.3e}")
-        payload = "\n".join(lines) + "\n"
+        payload = ["\n".join(lines) + "\n"]
     return payload, EXIT_OK
 
 
-def _cmd_circuit(args) -> tuple[str, int]:
+def _cmd_circuit(args) -> tuple[Iterable[str], int]:
     circuit = masker.qudit4_circuit(args.d)
     if args.apply is not None:
         try:
@@ -147,34 +153,34 @@ def _cmd_circuit(args) -> tuple[str, int]:
     if args.amps is not None or args.input is not None:
         state = _read_amplitudes(args, args.d * args.d)
         out = gates.apply(circuit, gates.append_ancilla(masker.digit_encode(state, args.d), args.d, 2))
-        doc = {"d": args.d, "amplitudes": complex_pairs(out.amps)}
-        payload = _dump_json(doc) if args.format == "json" else (
-            "\n".join(f"{a.real:+.12f} {a.imag:+.12f}" for a in out.amps) + "\n"
-        )
+        if args.format == "json":
+            payload = _json({"d": args.d, "amplitudes": out.amps})
+        else:
+            payload = _text_amplitudes(out.amps)
     else:
-        payload = gates.circuit_to_text(circuit)
+        payload = [gates.circuit_to_text(circuit)]
     return payload, EXIT_OK
 
 
-def _cmd_verify(args) -> tuple[str, int]:
+def _cmd_verify(args) -> tuple[Iterable[str], int]:
     scheme = masker.build_scheme(args.w, args.d, args.m)
     report = verify.verify_scheme(scheme, n_samples=args.samples, seed=args.seed)
     if args.format == "json":
-        payload = _dump_json(verify.masking_report_to_json_dict(report))
+        payload = _json(verify.masking_report_to_json_dict(report))
     else:
         lines = [f"verify w={report.w} d={report.d} m={report.m} samples={report.n_samples} seed={report.seed}"]
         for name, check in report.checks.items():
             status = "pass" if check.passed else "FAIL"
             lines.append(f"{name}: {check.value:.3e} <= {check.threshold:.0e} [{status}]")
         lines.append("verdict: " + ("pass" if report.passed else "FAIL"))
-        payload = "\n".join(lines) + "\n"
+        payload = ["\n".join(lines) + "\n"]
     return payload, EXIT_OK if report.passed else EXIT_MASKING_FAILURE
 
 
-def _cmd_bounds(args) -> tuple[str, int]:
+def _cmd_bounds(args) -> tuple[Iterable[str], int]:
     report = verify.bounds_report(args.d, args.m, args.w or ())
     if args.format == "json":
-        payload = _dump_json(verify.bounds_report_to_json_dict(report))
+        payload = _json(verify.bounds_report_to_json_dict(report))
     else:
         lines = [
             f"d={report.d} m={report.m}",
@@ -184,7 +190,7 @@ def _cmd_bounds(args) -> tuple[str, int]:
         for w, p, flag in report.min_parties_table:
             note = "  (constructions require m >= 4)" if flag else ""
             lines.append(f"w={w}: min parties {p}{note}")
-        payload = "\n".join(lines) + "\n"
+        payload = ["\n".join(lines) + "\n"]
     return payload, EXIT_OK
 
 

@@ -192,10 +192,18 @@ def min_parties(w: int, d: int) -> int:
 
 def scheme_to_json_dict(scheme: MaskingScheme) -> dict:
     """JSON-ready document {w, d, m, provenance, images}."""
+    doc = _scheme_document(scheme)
+    doc["images"] = complex_pairs(doc["images"])
+    return doc
+
+
+def _scheme_document(scheme: MaskingScheme) -> dict:
+    """The document of scheme_to_json_dict with the images as the block
+    `amps`, as the CLI's JSON writer takes it."""
     return {
         "w": scheme.w,
         "d": scheme.d,
         "m": scheme.m,
         "provenance": scheme.provenance,
-        "images": complex_pairs(scheme.amps),
+        "images": scheme.amps,
     }

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import operator
 from collections.abc import Callable
@@ -350,22 +351,33 @@ def _pair_sums(keys, left, right, vals, out=None):
     dense."""
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
-    group = np.cumsum(first) - 1
-    per_entry = np.bincount(group)[group]  # the size of each entry's group
-    n_pairs = int(per_entry.sum())  # the sum of the squared group sizes
+    # Where every entry is a group of its own, as on each one-party marginal
+    # of a GHZ basis, its one pair is itself, so the pairs need no expansion.
+    alone = bool(first.all())
+    if alone:
+        n_pairs = len(keys)
+    else:
+        group = np.cumsum(first) - 1
+        per_entry = np.bincount(group)[group]  # the size of each entry's group
+        n_pairs = int(per_entry.sum())  # the sum of the squared group sizes
     if PAIR_BYTES * n_pairs > SIZE_BUDGET_BYTES:
         return None
-    i = np.repeat(np.arange(len(keys)), per_entry)
-    # Entry i's pairs run from offset[i]; its partners from its group's start.
-    offset = np.cumsum(per_entry) - per_entry
-    j = np.arange(n_pairs) - np.repeat(offset - np.flatnonzero(first)[group], per_entry)
-    bins = left[i] + right[j]
+    if alone:
+        bins = left + right
+    else:
+        i = np.repeat(np.arange(len(keys)), per_entry)
+        # Entry i's pairs run from offset[i]; its partners from its group's start.
+        offset = np.cumsum(per_entry) - per_entry
+        j = np.arange(n_pairs) - np.repeat(offset - np.flatnonzero(first)[group], per_entry)
+        bins = left[i] + right[j]
     if out is None:
         bins, inverse = np.unique(bins, return_inverse=True)
         out = np.empty(len(bins), dtype=complex)
     else:
         bins, inverse = None, bins
-    prod = vals[i] * vals[j].conj()
+    # np.multiply, not *: numpy may write a large temporary right factor's
+    # product into it with the factors swapped, which moves imaginary bits.
+    prod = np.multiply(vals, vals.conj()) if alone else vals[i] * vals[j].conj()
     out.real = np.bincount(inverse, prod.real, len(out))
     out.imag = np.bincount(inverse, prod.imag, len(out))
     return bins, out
@@ -538,3 +550,73 @@ def gram_deviation(block: Block) -> float:
 def complex_pairs(a: np.ndarray) -> list:
     """A complex array of any shape as nested lists ending in [re, im] pairs."""
     return np.stack((a.real, a.imag), -1).tolist()
+
+
+TEXT_CHUNK = 2**12  # amplitudes the CLI's writers format at once: under 1 MB of text and lists
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    """A float as json writes it: float.__repr__, so an np.float64 reads
+    as 0.1, and NaN, Infinity and -Infinity for the non-finite values."""
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _json_chunks(doc, level: int = 0):
+    """Yield the text of json.dumps(doc, indent=2) in chunks, where `doc`
+    may hold complex ndarrays, each written as complex_pairs(array) would
+    be, a chunk of at most TEXT_CHUNK amplitudes at a time, so neither its
+    nested lists nor the whole text is ever made. Bools are written before
+    ints, None as null, strings escaped as json escapes them; dict keys
+    must be strings. `level` is the indent level `doc` starts at."""
+    if isinstance(doc, np.ndarray):
+        yield from _array_chunks(doc, level)
+    elif isinstance(doc, (dict, list, tuple)):
+        brackets = "{}" if isinstance(doc, dict) else "[]"
+        if not doc:
+            yield brackets
+            return
+        inner = "\n" + "  " * (level + 1)
+        sep = brackets[0] + inner
+        for key in doc if isinstance(doc, dict) else range(len(doc)):
+            # A key that is not a str raises TypeError here.
+            yield sep + (json.encoder.encode_basestring_ascii(key) + ": " if brackets == "{}" else "")
+            yield from _json_chunks(doc[key], level + 1)
+            sep = "," + inner
+        yield "\n" + "  " * level + brackets[1]
+    elif isinstance(doc, str):
+        yield json.encoder.encode_basestring_ascii(doc)
+    elif doc is None or isinstance(doc, bool):
+        yield {None: "null", True: "true", False: "false"}[doc]
+    elif isinstance(doc, int):
+        yield int.__repr__(doc)
+    elif isinstance(doc, float):
+        yield _float_text(doc)
+    else:
+        raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+
+
+def _array_chunks(a: np.ndarray, level: int):
+    """The chunks of _json_chunks for one complex array. Each float is
+    formatted once per distinct bit pattern in its chunk (a built block is
+    mostly +0.0), and the chunk's text is one %-format of a template."""
+    if len(a) == 0:
+        yield "[]"
+        return
+    inner = "\n" + "  " * (level + 1)
+    if a.ndim > 1:
+        sep = "[" + inner
+        for sub in a:
+            yield sep
+            yield from _array_chunks(sub, level + 1)
+            sep = "," + inner
+    else:
+        pair = f"{inner}[{inner}  %s,{inner}  %s{inner}]"
+        for start in range(0, len(a), TEXT_CHUNK):
+            part = np.ascontiguousarray(a[start:start + TEXT_CHUNK], dtype=complex)
+            distinct, index = np.unique(part.view(np.uint64), return_inverse=True)
+            texts = np.array([_float_text(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+            template = ",".join([pair] * len(part))
+            yield ("," if start else "[") + template % tuple(texts[index].tolist())
+    yield "\n" + "  " * level + "]"

@@ -349,6 +349,73 @@ class TestBatchedKeys:
         assert "amps" not in vars(block)
 
 
+def _expanded_pair_sums(keys, left, right, vals, out=None):
+    """_pair_sums with the full pair expansion for every group, single
+    entries included, as it ran before single-entry groups took a shortcut."""
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    group = np.cumsum(first) - 1
+    per_entry = np.bincount(group)[group]
+    n_pairs = int(per_entry.sum())
+    i = np.repeat(np.arange(len(keys)), per_entry)
+    offset = np.cumsum(per_entry) - per_entry
+    j = np.arange(n_pairs) - np.repeat(offset - np.flatnonzero(first)[group], per_entry)
+    bins = left[i] + right[j]
+    if out is None:
+        bins, inverse = np.unique(bins, return_inverse=True)
+        out = np.empty(len(bins), dtype=complex)
+    else:
+        bins, inverse = None, bins
+    prod = vals[i] * vals[j].conj()
+    out.real = np.bincount(inverse, prod.real, len(out))
+    out.imag = np.bincount(inverse, prod.imag, len(out))
+    return bins, out
+
+
+class TestSingleEntryGroups:
+    """Where every key is unique, each entry's one pair is itself, and
+    _pair_sums skips the expansion with the bits of the expanded path."""
+
+    # Past 2^14 entries (256 KB of complex values) numpy may reuse a
+    # temporary factor of * as its output, so both sides of that size are tried.
+    @pytest.mark.parametrize("n", [1, 7, 2048, 16383, 16384, 40000])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_bits_match_the_expansion(self, n, dense):
+        rng = np.random.default_rng(n)
+        keys = np.sort(rng.choice(4 * n, size=n, replace=False))
+        vals = np.exp(2j * np.pi * rng.random(n)) * rng.random(n)
+        vals[::5] = -vals[::5].real  # -0.0 imaginary parts
+        left, right = rng.integers(0, n, n), rng.integers(0, 3, n)
+        if dense:
+            out, ref = np.full(n + 3, 7.0 + 0j), np.full(n + 3, 7.0 + 0j)
+            assert tensorcore._pair_sums(keys, left, right, vals, out)[0] is None
+            _expanded_pair_sums(keys, left, right, vals, ref)
+            assert out.tobytes() == ref.tobytes()
+        else:
+            bins, sums = tensorcore._pair_sums(keys, left, right, vals)
+            ref_bins, ref_sums = _expanded_pair_sums(keys, left, right, vals)
+            assert bins.tobytes() == ref_bins.tobytes() and sums.tobytes() == ref_sums.tobytes()
+
+    def test_ghz_marginals_take_it_and_its_gram_does_not(self, monkeypatch):
+        family = ghz_basis(2, 9)
+        dims = (2,) * 9
+        want = party_marginals(family._block, dims)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(tensorcore, "_pair_sums", _expanded_pair_sums)
+            expanded = party_marginals(Block.of(family.amps), dims)
+        assert want.tobytes() == expanded.tobytes()
+
+        def no_expansion(*args):
+            raise AssertionError("pairs expanded")
+
+        # np.repeat runs only in the expansion: the marginals' keys are all
+        # unique, while the Gram's pair up the rows sharing a column.
+        monkeypatch.setattr(np, "repeat", no_expansion)
+        assert party_marginals(Block.of(family.amps), dims).tobytes() == want.tobytes()
+        with pytest.raises(AssertionError, match="pairs expanded"):
+            gram_deviation(Block.of(family.amps))
+
+
 class TestRowViews:
     def test_ghz_basis_validates_its_dims_once_not_per_row(self, monkeypatch):
         calls = []
