@@ -440,13 +440,16 @@ def _marginal_stacks(block: Block, dims: tuple[int, ...], keeps):
     block on each keep-set of `keeps`, dk the product of the kept
     dimensions, with the kept parties in their relative order: one
     (K, N, dk, dk) array when every keep-set has the same dk, else a list
-    of the K stacks. One call checks all of them with one _check_densities call,
-    the one check of every marginal the package returns: the stacks of
-    one dk lie back to back in one buffer and are checked as one stack.
-    A sparse block (Block.sparse_support) takes the pairs of its support,
-    as many keep-sets to a _pair_sums call as the size budget and
-    PAIR_CALL_ENTRIES admit; the rest take one GEMM per keep-set, on the
-    block made if need be."""
+    of the K stacks. The K stacks lie back to back in one buffer, in call
+    order, and one _check_densities call checks them, the one check of
+    every marginal the package returns: the buffer as one stack when every
+    dk is the same, else one stack per keep-set. A sparse block
+    (Block.sparse_support) takes the pairs of its support, runs of as many
+    consecutive keep-sets to a _pair_sums call as the size budget and
+    PAIR_CALL_ENTRIES admit; every keep-set they leave takes one GEMM into
+    its part of the buffer, on the block made if need be. One keep-set of
+    a block that is not sparse, partial_trace's call, is one GEMM with no
+    buffer."""
     dims = tuple(dims)
     keeps = [sorted(set(map(operator.index, keep))) for keep in keeps]
     for keep in keeps:
@@ -456,49 +459,33 @@ def _marginal_stacks(block: Block, dims: tuple[int, ...], keeps):
             raise ValueError(f"keep-set {keep} out of range for {len(dims)} parties")
     n = block.shape[0]
     sup = block.sparse_support
-    if len(keeps) == 1:
-        # partial_trace's call: one stack, made with no buffer to lay out.
-        rho = None
-        if sup is not None:
-            d_keep = math.prod(dims[p] for p in keeps[0])
-            rho = np.empty((n, d_keep, d_keep), dtype=complex)
-            if not _pair_marginals(block, dims, keeps, rho.reshape(-1)):
-                rho = None
-        if rho is None:
-            psi = _kept_first(block, dims, keeps[0])
-            rho = psi @ psi.conj().transpose(0, 2, 1)
+    if len(keeps) == 1 and sup is None:
+        psi = _kept_first(block, dims, keeps[0])
+        rho = psi @ psi.conj().transpose(0, 2, 1)
         _check_densities(rho)
         return rho[None]
     d_keeps = [math.prod(dims[p] for p in keep) for keep in keeps]
-    # Sorted by dk, stably, so each dk's stacks are one run of the buffer.
-    order = sorted(range(len(keeps)), key=d_keeps.__getitem__)
-    bounds = list(itertools.accumulate((n * d_keeps[k] ** 2 for k in order), initial=0))
+    bounds = list(itertools.accumulate((n * dk * dk for dk in d_keeps), initial=0))
     flat = np.empty(bounds[-1], dtype=complex)
-    done = [False] * len(keeps)
+    stacks = [flat[a:b].reshape(n, dk, dk) for a, b, dk in zip(bounds, bounds[1:], d_keeps)]
+    per_call = len(keeps)
     if sup is not None:
         # A group's entries differ only in their kept digits, so an entry has
         # at most dk partners, and its keys cost about one more pair. One
         # keep-set a call is checked against the budget by _pair_sums alone.
         entries = min(PAIR_CALL_ENTRIES, SIZE_BUDGET_BYTES // (PAIR_BYTES * (max(d_keeps) + 1)))
         per_call = max(1, entries // max(len(sup[2]), 1))
-        for start in range(0, len(keeps), per_call):
-            call = order[start:start + per_call]
-            part = flat[bounds[start]:bounds[start + len(call)]]
-            if _pair_marginals(block, dims, [keeps[k] for k in call], part):
-                for k in call:
-                    done[k] = True
-    out, runs = [None] * len(keeps), {}  # runs: each dk's [start, end) in the buffer
-    for i, k in enumerate(order):
-        dk = d_keeps[k]
-        out[k] = flat[bounds[i]:bounds[i + 1]].reshape(n, dk, dk)
-        if not done[k]:
-            psi = _kept_first(block, dims, keeps[k])
-            np.matmul(psi, psi.conj().transpose(0, 2, 1), out=out[k])  # the bits of a new product
-        runs.setdefault(dk, [bounds[i], 0])[1] = bounds[i + 1]
-    _check_densities(*(flat[a:b].reshape(-1, dk, dk) for dk, (a, b) in runs.items()))
-    if len(runs) > 1:
-        return out
-    (dk,) = runs
+    for start in range(0, len(keeps), per_call):
+        stop = min(start + per_call, len(keeps))
+        if sup is None or not _pair_marginals(block, dims, keeps[start:stop], flat[bounds[start]:bounds[stop]]):
+            for keep, rho in zip(keeps[start:stop], stacks[start:stop]):
+                psi = _kept_first(block, dims, keep)
+                np.matmul(psi, psi.conj().transpose(0, 2, 1), out=rho)  # the bits of a new product
+    if len(set(d_keeps)) > 1:
+        _check_densities(*stacks)
+        return stacks
+    dk = d_keeps[0]
+    _check_densities(flat.reshape(-1, dk, dk))
     return flat.reshape(len(keeps), n, dk, dk)
 
 

@@ -26,6 +26,7 @@ from quditmask import (
     verify_scheme,
 )
 from quditmask import tensorcore
+from quditmask.cli import main
 from quditmask.tensorcore import (
     PAIR_BYTES,
     PAIR_CALL_ENTRIES,
@@ -325,7 +326,7 @@ class TestBatchedKeys:
         assert type(table) is np.ndarray and table.shape == (9, 512, 2, 2)
         mixed = party_marginals(Block.of(np.eye(30, dtype=complex)), (2, 3, 5))
         assert type(mixed) is list and [rho.shape for rho in mixed] == [(30, 2, 2), (30, 3, 3), (30, 5, 5)]
-        # One party is one keep-set, which skips the buffer and is still a table.
+        # One party is one keep-set, and its marginals are still a table.
         one = party_marginals(Block.of(np.eye(3, dtype=complex)), (3,))
         assert type(one) is np.ndarray and one.shape == (1, 3, 3, 3)
         assert certify_meb(MebFamily(3, 1, np.eye(3), range(3))).max_marginal_deviation == 1 - 1 / 3
@@ -514,3 +515,30 @@ def test_certify_grid_keeps_every_marginal_bit():
         gram = reports[i].isometry_gram_deviation
         assert reports[i].checks["isometry_gram"].value == gram
         assert abs(gram - _gemm_gram_deviation(schemes[i][0].amps)) <= 1e-15
+
+
+def _count_pair_marginals(m):
+    """Count the keep-sets of each _pair_marginals call made under the MonkeyPatch m."""
+    calls = []
+    pair_marginals = tensorcore._pair_marginals
+    m.setattr(tensorcore, "_pair_marginals", lambda block, dims, keeps, out: calls.append(len(keeps))
+              or pair_marginals(block, dims, keeps, out))
+    return calls
+
+
+# sha256 digests recorded before the marginal kernel laid its stacks out in
+# call order, of runs that take the pair path.
+def test_pair_path_verify_keeps_every_marginal_bit(monkeypatch):
+    calls = _count_pair_marginals(monkeypatch)
+    r = verify_scheme(build_scheme(4, 2, 18), n_samples=2, seed=1)
+    assert calls == [1] * (6 * 18)
+    keys = [[x.hex() for x in r.per_party_max_deviation], [x.hex() for x in r.cross_input_max_variation]]
+    assert _sha256(keys) == "eeda7a9b201a0e85deade01a054c751b216ef849826548578304a655436127ee"
+
+
+def test_pair_path_mask_output_bytes_unchanged(monkeypatch, capsys):
+    calls = _count_pair_marginals(monkeypatch)
+    assert main(["mask", "--w", "4", "--d", "2", "--m", "16", "--amps", "0.5,0.5,0.5,0.5"]) == 0
+    assert calls == [16]
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "40f0603dde48088656d305b75374cec93376f9fc601af166c06f1e1e6ea9df65"

@@ -1,4 +1,5 @@
 import inspect
+import math
 import tracemalloc
 
 import numpy as np
@@ -149,6 +150,24 @@ class TestLeakageProfile:
                 for p in profile.parties:
                     assert p.off_diagonal_leak <= 1e-10
                     assert p.diagonal_leak <= 1e-10
+
+    @pytest.mark.parametrize("dims", [(2, 3, 5), (3,) + (2,) * 14], ids=["gemm", "pairs"])
+    def test_mixed_register(self, dims):
+        # (2, 3, 5) takes the GEMM; 200 nonzeros of the 49152 amplitudes of
+        # (3,) + (2,) * 14 take the pairs. Each party's marginal has the bits
+        # of partial_trace, and its diagonal leak is measured from its own 1/d_p.
+        rng = np.random.default_rng(5)
+        amps = np.zeros(math.prod(dims), dtype=complex)
+        idx = rng.choice(amps.size, size=min(200, amps.size), replace=False)
+        amps[idx] = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
+        state = StateVector(dims, amps / np.linalg.norm(amps))
+        assert (state._block.sparse_support is None) == (dims == (2, 3, 5))
+        profile = leakage_profile(state)
+        assert [p.party for p in profile.parties] == list(range(len(dims)))
+        for p, d in zip(profile.parties, dims):
+            rho = partial_trace(state, [p.party])
+            assert p.marginal.shape == (d, d) and p.marginal.tobytes() == rho.tobytes()
+            assert p.diagonal_leak == float(np.abs(np.diag(rho).real - 1 / d).max())
 
 
 class TestBoundsReport:
