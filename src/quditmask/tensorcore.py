@@ -439,11 +439,12 @@ def _marginal_stacks(block: Block, dims: tuple[int, ...], keeps):
     """The (N, dk, dk) reduced density matrices of the rows of an (N, D)
     block on each keep-set of `keeps`, dk the product of the kept
     dimensions, with the kept parties in their relative order: one
-    (K, N, dk, dk) array when every keep-set has the same dk, else a list
-    of the K stacks. The K stacks lie back to back in one buffer, in call
-    order, and one _check_densities call checks them, the one check of
-    every marginal the package returns: the buffer as one stack when every
-    dk is the same, else one stack per keep-set. A sparse block
+    (K, N, dk, dk) array when every keep-set has the same dk, else (for
+    no keep-sets too) a list of the K stacks. The K stacks lie back to
+    back in one buffer, in call order, and one _check_densities call
+    checks them, the one check of every marginal the package returns: the
+    buffer as one stack when every dk is the same, else one stack per
+    keep-set. A sparse block
     (Block.sparse_support) takes the pairs of its support, runs of as many
     consecutive keep-sets to a _pair_sums call as the size budget and
     PAIR_CALL_ENTRIES admit; every keep-set they leave takes one GEMM into
@@ -468,12 +469,12 @@ def _marginal_stacks(block: Block, dims: tuple[int, ...], keeps):
     bounds = list(itertools.accumulate((n * dk * dk for dk in d_keeps), initial=0))
     flat = np.empty(bounds[-1], dtype=complex)
     stacks = [flat[a:b].reshape(n, dk, dk) for a, b, dk in zip(bounds, bounds[1:], d_keeps)]
-    per_call = len(keeps)
+    per_call = max(1, len(keeps))
     if sup is not None:
         # A group's entries differ only in their kept digits, so an entry has
         # at most dk partners, and its keys cost about one more pair. One
         # keep-set a call is checked against the budget by _pair_sums alone.
-        entries = min(PAIR_CALL_ENTRIES, SIZE_BUDGET_BYTES // (PAIR_BYTES * (max(d_keeps) + 1)))
+        entries = min(PAIR_CALL_ENTRIES, SIZE_BUDGET_BYTES // (PAIR_BYTES * (max(d_keeps, default=1) + 1)))
         per_call = max(1, entries // max(len(sup[2]), 1))
     for start in range(0, len(keeps), per_call):
         stop = min(start + per_call, len(keeps))
@@ -481,7 +482,7 @@ def _marginal_stacks(block: Block, dims: tuple[int, ...], keeps):
             for keep, rho in zip(keeps[start:stop], stacks[start:stop]):
                 psi = _kept_first(block, dims, keep)
                 np.matmul(psi, psi.conj().transpose(0, 2, 1), out=rho)  # the bits of a new product
-    if len(set(d_keeps)) > 1:
+    if len(set(d_keeps)) != 1:
         _check_densities(*stacks)
         return stacks
     dk = d_keeps[0]
@@ -553,57 +554,42 @@ def _float_text(x: float) -> str:
 def _json_chunks(doc, level: int = 0):
     """Yield the text of json.dumps(doc, indent=2) in chunks, where `doc`
     may hold complex ndarrays, each written as complex_pairs(array) would
-    be, a chunk of at most TEXT_CHUNK amplitudes at a time, so neither its
-    nested lists nor the whole text is ever made. Bools are written before
-    ints, None as null, strings escaped as json escapes them; dict keys
-    must be strings. `level` is the indent level `doc` starts at."""
-    if isinstance(doc, np.ndarray):
+    be: a non-empty 1-D array in chunks of at most TEXT_CHUNK amplitudes,
+    and any other array as the list of its rows, so neither its nested
+    lists nor the whole text is ever made. A dict, list or tuple is
+    written here too, its keys escaped as json escapes them (a key that is
+    not a str raises TypeError); json.dumps writes every other value, and
+    raises TypeError for what it cannot. `level` is the indent level
+    `doc` starts at."""
+    if isinstance(doc, np.ndarray) and doc.ndim == 1 and len(doc):
         yield from _array_chunks(doc, level)
-    elif isinstance(doc, (dict, list, tuple)):
+    elif isinstance(doc, (dict, list, tuple, np.ndarray)):
         brackets = "{}" if isinstance(doc, dict) else "[]"
-        if not doc:
+        if len(doc) == 0:
             yield brackets
             return
         inner = "\n" + "  " * (level + 1)
         sep = brackets[0] + inner
         for key in doc if isinstance(doc, dict) else range(len(doc)):
-            # A key that is not a str raises TypeError here.
             yield sep + (json.encoder.encode_basestring_ascii(key) + ": " if brackets == "{}" else "")
             yield from _json_chunks(doc[key], level + 1)
             sep = "," + inner
         yield "\n" + "  " * level + brackets[1]
-    elif isinstance(doc, str):
-        yield json.encoder.encode_basestring_ascii(doc)
-    elif doc is None or isinstance(doc, bool):
-        yield {None: "null", True: "true", False: "false"}[doc]
-    elif isinstance(doc, int):
-        yield int.__repr__(doc)
-    elif isinstance(doc, float):
-        yield _float_text(doc)
     else:
-        raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+        yield json.dumps(doc)
 
 
 def _array_chunks(a: np.ndarray, level: int):
-    """The chunks of _json_chunks for one complex array. Each float is
-    formatted once per distinct bit pattern in its chunk (a built block is
-    mostly +0.0), and the chunk's text is one %-format of a template."""
-    if len(a) == 0:
-        yield "[]"
-        return
+    """The chunks of _json_chunks for one non-empty 1-D complex array. Each
+    float is formatted once per distinct bit pattern in its chunk (a built
+    block is mostly +0.0), and the chunk's text is one %-format of a
+    template."""
     inner = "\n" + "  " * (level + 1)
-    if a.ndim > 1:
-        sep = "[" + inner
-        for sub in a:
-            yield sep
-            yield from _array_chunks(sub, level + 1)
-            sep = "," + inner
-    else:
-        pair = f"{inner}[{inner}  %s,{inner}  %s{inner}]"
-        for start in range(0, len(a), TEXT_CHUNK):
-            part = np.ascontiguousarray(a[start:start + TEXT_CHUNK], dtype=complex)
-            distinct, index = np.unique(part.view(np.uint64), return_inverse=True)
-            texts = np.array([_float_text(x) for x in distinct.view(np.float64).tolist()], dtype=object)
-            template = ",".join([pair] * len(part))
-            yield ("," if start else "[") + template % tuple(texts[index].tolist())
+    pair = f"{inner}[{inner}  %s,{inner}  %s{inner}]"
+    for start in range(0, len(a), TEXT_CHUNK):
+        part = np.ascontiguousarray(a[start:start + TEXT_CHUNK], dtype=complex)
+        distinct, index = np.unique(part.view(np.uint64), return_inverse=True)
+        texts = np.array([_float_text(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+        template = ",".join([pair] * len(part))
+        yield ("," if start else "[") + template % tuple(texts[index].tolist())
     yield "\n" + "  " * level + "]"

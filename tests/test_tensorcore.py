@@ -379,6 +379,16 @@ class TestValidatedOnce:
         stacks = party_marginals(Block.of(np.eye(30, dtype=complex)), (2, 3, 5))
         assert calls == [90] and [rho.shape for rho in stacks] == [(30, 2, 2), (30, 3, 3), (30, 5, 5)]
 
+    def test_a_register_of_no_parties_has_no_marginals(self):
+        state = StateVector((), [1])
+        assert leakage_profile(state).parties == ()
+        assert party_marginals(state._block, state.dims) == []
+        sparse = np.zeros((tensorcore.PAIR_MIN_ENTRIES, 1), dtype=complex)
+        sparse[0] = 1  # a block the pair kernel reads
+        assert party_marginals(Block.of(sparse), ()) == []
+        with pytest.raises(ValueError, match="keep-set must be non-empty"):
+            partial_trace(state, [])
+
     def test_leakage_profile_validates_each_party_once(self, monkeypatch):
         masked = mask(build_scheme(4, 2, 6), haar_random_state(4, np.random.default_rng(2)))
         calls = self._count_checks(monkeypatch)
