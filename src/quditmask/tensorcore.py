@@ -444,13 +444,12 @@ def _marginal_stacks(block: Block, dims: tuple[int, ...], keeps):
     back in one buffer, in call order, and one _check_densities call
     checks them, the one check of every marginal the package returns: the
     buffer as one stack when every dk is the same, else one stack per
-    keep-set. A sparse block
-    (Block.sparse_support) takes the pairs of its support, runs of as many
-    consecutive keep-sets to a _pair_sums call as the size budget and
-    PAIR_CALL_ENTRIES admit; every keep-set they leave takes one GEMM into
-    its part of the buffer, on the block made if need be. One keep-set of
-    a block that is not sparse, partial_trace's call, is one GEMM with no
-    buffer."""
+    keep-set. A sparse block (Block.sparse_support) takes the pairs of its
+    support, runs of as many consecutive keep-sets to a _pair_sums call as
+    the size budget and PAIR_CALL_ENTRIES admit; every keep-set they leave
+    takes one GEMM into its part of the buffer, on the block made if need
+    be. One keep-set of a block that is not sparse, partial_trace's call,
+    is one GEMM with no buffer."""
     dims = tuple(dims)
     keeps = [sorted(set(map(operator.index, keep))) for keep in keeps]
     for keep in keeps:
